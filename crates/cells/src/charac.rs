@@ -208,6 +208,9 @@ impl CycleProfile {
 ///
 /// `opts.warmup_cycles` extra cycles with the first assignment are prepended
 /// and discarded so that the measured cycles start from a settled state.
+/// Only the supply current is recorded
+/// ([`TransientSimulator::run_supply_current`]); the node waveforms are
+/// never materialised.
 ///
 /// # Errors
 ///
@@ -235,9 +238,8 @@ pub fn characterize_cycles(
     stimuli.push(Stimulus::new(pins.clk, clock_source(opts, full.len())));
     let sim = TransientSimulator::new(circuit.clone(), opts.sim)?;
     let duration = full.len() as f64 * opts.period + opts.period / 2.0;
-    let result = sim.run(&stimuli, &[], duration)?;
+    let current = sim.run_supply_current(&stimuli, &[], duration)?;
 
-    let current = result.supply_current();
     let dt = current.dt();
     let samples = current.samples();
     let mut cycles = Vec::with_capacity(assignments.len());

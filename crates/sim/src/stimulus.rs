@@ -57,6 +57,63 @@ impl PiecewiseLinear {
     pub fn points(&self) -> &[(f64, f64)] {
         &self.points
     }
+
+    /// A cursor that evaluates the source at non-decreasing times in
+    /// amortised constant time.
+    pub(crate) fn cursor(&self) -> PwlCursor<'_> {
+        PwlCursor {
+            points: &self.points,
+            window: 0,
+        }
+    }
+}
+
+/// Evaluates a [`PiecewiseLinear`] at a sequence of times, remembering the
+/// segment of the previous time so that a growing `t` costs O(1) per call
+/// instead of [`PiecewiseLinear::value_at`]'s scan from the first segment.
+///
+/// It returns exactly what `value_at` returns, bit for bit, as long as no
+/// breakpoint time is NaN: it picks the same segment (the first one whose
+/// end is at or after `t`) and runs the same arithmetic on it.  A time
+/// earlier than the current segment restarts the search from the first
+/// segment, so any order of times is correct and only a growing one fast.
+#[derive(Debug, Clone)]
+pub(crate) struct PwlCursor<'a> {
+    points: &'a [(f64, f64)],
+    /// Index of the segment `points[window]..points[window + 1]` that held
+    /// the previous time; every earlier segment ends before it.
+    window: usize,
+}
+
+impl PwlCursor<'_> {
+    /// The value of the source at time `t`.
+    pub(crate) fn value_at(&mut self, t: f64) -> f64 {
+        let points = self.points;
+        let Some(&(t_first, v_first)) = points.first() else {
+            return 0.0;
+        };
+        if t <= t_first {
+            return v_first;
+        }
+        let (t_last, v_last) = points[points.len() - 1];
+        if t >= t_last {
+            return v_last;
+        }
+        if t <= points[self.window].0 {
+            self.window = 0;
+        }
+        // Terminates: the last segment ends at `t_last > t`.
+        while t > points[self.window + 1].0 {
+            self.window += 1;
+        }
+        let (t0, v0) = points[self.window];
+        let (t1, v1) = points[self.window + 1];
+        if (t1 - t0).abs() < f64::EPSILON {
+            return v1;
+        }
+        let frac = (t - t0) / (t1 - t0);
+        v0 + frac * (v1 - v0)
+    }
 }
 
 /// A stimulus: a piecewise-linear source attached to a circuit node.
@@ -148,6 +205,65 @@ mod tests {
     fn empty_source_is_zero() {
         let s = PiecewiseLinear::new(vec![]);
         assert_eq!(s.value_at(5.0), 0.0);
+    }
+
+    /// Asserts that a cursor walked over `times` returns `value_at`'s bits.
+    fn assert_cursor_matches(source: &PiecewiseLinear, times: &[f64]) {
+        let mut cursor = source.cursor();
+        for &t in times {
+            let (got, want) = (cursor.value_at(t), source.value_at(t));
+            assert_eq!(
+                got.to_bits(),
+                want.to_bits(),
+                "t = {t:e}: cursor {got:e}, value_at {want:e} for {:?}",
+                source.points()
+            );
+        }
+    }
+
+    #[test]
+    fn cursor_matches_value_at_bit_for_bit() {
+        let sources = [
+            PiecewiseLinear::new(vec![]),
+            PiecewiseLinear::constant(1.8),
+            PiecewiseLinear::new(vec![(0.3, -0.7)]),
+            PiecewiseLinear::step(0.0, 1.8, 1.0, 0.1),
+            // A zero-width segment (a vertical edge) in the middle.
+            PiecewiseLinear::new(vec![(0.0, 0.0), (0.5, 0.2), (0.5, 1.7), (1.3, 0.4)]),
+            // Duplicate times: several breakpoints at one instant.
+            PiecewiseLinear::new(vec![
+                (0.2, 0.1),
+                (0.4, 0.9),
+                (0.4, 0.3),
+                (0.4, 1.1),
+                (0.4, 1.1),
+                (0.9, 0.0),
+            ]),
+            // Segments far narrower than the time grid.
+            PiecewiseLinear::new(vec![(0.1, 0.0), (0.1 + 1e-17, 1.0), (0.25, 0.5)]),
+            ClockSpec {
+                period: 0.4,
+                transition: 0.01,
+                vdd: 1.8,
+                cycles: 3,
+            }
+            .to_source(),
+        ];
+        for source in &sources {
+            // A regular grid that starts before the first point and ends
+            // after the last, the grid of the transient solver.
+            let grid: Vec<f64> = (0..=4000).map(|step| step as f64 * 4.1e-4 - 0.05).collect();
+            assert_cursor_matches(source, &grid);
+            // Exactly on every breakpoint, each visited twice.
+            let mut on_points: Vec<f64> = vec![-1.0];
+            for &(t, _) in source.points() {
+                on_points.extend([t, t]);
+            }
+            on_points.push(10.0);
+            assert_cursor_matches(source, &on_points);
+            // Out of order: the cursor restarts and stays exact.
+            assert_cursor_matches(source, &[1.2, 0.45, 0.5, 0.05, 0.4, 0.4, 0.2, 10.0, 0.0]);
+        }
     }
 
     #[test]
