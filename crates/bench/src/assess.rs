@@ -12,7 +12,7 @@ use dpl_crypto::{
     EnergyCache, EnergyModel, GateEnergyTable, GateNetlist, LeakageModel, LeakageOptions,
 };
 use dpl_eval::{
-    interleaved_partition, mtd_campaign, mtd_campaign_observed, tvla_parallel_with, tvla_salvage,
+    interleaved_partition, mtd_campaign, mtd_campaign_observed, tvla_parallel, tvla_salvage,
     tvla_streaming, tvla_streaming_second_order, MtdConfig, MtdCurve, PrefixCpa, PrefixDpa,
     TvlaOrder, TvlaResult, TVLA_THRESHOLD,
 };
@@ -474,7 +474,7 @@ pub fn tvla_report(
 
 /// [`tvla_report`] with optional telemetry: the reader's chunk counters
 /// and the fold's span/throughput gauges land in `obs`.  The `--workers`
-/// path runs through [`dpl_eval::tvla_parallel_observed`], so the parallel fold's
+/// path runs through [`dpl_eval::tvla_parallel`], so the parallel fold's
 /// span, merge phase and reunion counters land there too (its shards still
 /// open their own unobserved readers).
 ///
@@ -560,9 +560,7 @@ where
     );
     for &order in orders {
         let result = match workers {
-            Some(workers) => {
-                tvla_parallel_with(&open, interleaved_partition, order, Some(workers), obs)
-            }
+            Some(workers) => tvla_parallel(&open, interleaved_partition, order, Some(workers), obs),
             None => match order {
                 TvlaOrder::First => tvla_streaming(source, interleaved_partition),
                 TvlaOrder::Second => tvla_streaming_second_order(source, interleaved_partition),

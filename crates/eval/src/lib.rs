@@ -7,14 +7,14 @@
 //! * [`mod@tvla`] — streaming Welch t-test leakage detection (Test Vector
 //!   Leakage Assessment): per-sample mergeable accumulators over
 //!   fixed-vs-random (or fixed-vs-fixed) partitions, first-order and
-//!   second-order (centered-product preprocessing), following the same
-//!   `update(chunk)` / `merge` / `fork` protocol as the attack accumulators
-//!   of `dpl-power`.  A single update over a whole
+//!   second-order (centered-product preprocessing), implementing the same
+//!   [`Fold`](dpl_power::Fold) protocol as the attack accumulators of
+//!   `dpl-power`.  A single update over a whole
 //!   [`TraceSet`](dpl_power::TraceSet) defines the in-memory statistic;
-//!   chunk-by-chunk folds over a `dpl-store` archive are **bit-identical**
-//!   to it, and [`streaming::tvla_parallel`] shards by
-//!   *sample column* so even the multi-threaded fold is bit-identical for
-//!   any worker count.
+//!   [`mod@streaming`] runs them through the `dpl-store` fold driver
+//!   chunk by chunk, **bit-identically**, and [`streaming::tvla_parallel`]
+//!   runs that driver per *sample column* so even the multi-threaded fold
+//!   is bit-identical for any worker count.
 //! * [`mtd`] — attack-efficiency estimation: a campaign runner replaying
 //!   DPA/CPA over a grid of trace counts × resampled repetitions
 //!   (deterministic per-repetition seeds) to produce success-rate and
@@ -45,8 +45,7 @@ pub use mtd::{
     PrefixDpa,
 };
 pub use streaming::{
-    tvla_parallel, tvla_parallel_observed, tvla_parallel_with, tvla_salvage, tvla_streaming,
-    tvla_streaming_second_order, TvlaOrder,
+    tvla_parallel, tvla_salvage, tvla_streaming, tvla_streaming_second_order, TvlaOrder,
 };
 pub use tvla::{
     fixed_vs_fixed, interleaved_partition, tvla, tvla_second_order, SecondOrderWelchAccumulator,

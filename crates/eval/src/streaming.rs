@@ -1,35 +1,34 @@
 //! Out-of-core TVLA over `dpl-store` archives.
 //!
-//! The sequential folds ([`tvla_streaming`], [`tvla_streaming_second_order`])
-//! feed the Welch accumulators chunk by chunk and are **bit-identical** to
-//! the in-memory [`crate::tvla()`] / [`crate::tvla_second_order`] over the
-//! same traces — the same guarantee the out-of-core attacks of `dpl-store`
-//! give.
+//! Every fold here runs the Welch accumulators, which implement
+//! [`dpl_power::Fold`], through the chunk-loop driver of `dpl-store`
+//! ([`dpl_store::run_fold`] / [`dpl_store::run_fold_salvage`]).  The
+//! sequential folds ([`tvla_streaming`], [`tvla_streaming_second_order`],
+//! [`tvla_salvage`]) are **bit-identical** to the in-memory
+//! [`crate::tvla()`] / [`crate::tvla_second_order`] over the same traces —
+//! the same guarantee the out-of-core attacks of `dpl-store` give.
 //!
-//! [`tvla_parallel`] goes one step further than the chunk-sharded parallel
-//! attacks: it shards work by **sample column**, not by chunk.  Every
-//! scoped-thread worker scans the chunks in order but accumulates only the
-//! columns it owns (`sample % workers == worker`), so each column's running
-//! sums see the *exact* addition sequence of the sequential fold, and the
-//! assembled result is **bit-identical to the sequential fold for any
-//! worker count** — no floating-point reassociation tolerance needed.  The
-//! price is that every worker reads (and checksums) every chunk, which is
-//! the right trade for the multi-sample traces TVLA sweeps target; for
-//! single-sample archives the fold degrades gracefully to one effective
-//! worker.
+//! [`tvla_parallel`] shards work by **sample column**, not by chunk: each
+//! scoped-thread worker runs the same driver over a column view of its own
+//! source holding the columns `w, w+n, w+2n, ...`.  Every (group, column)
+//! slot therefore receives the exact addition sequence of the sequential
+//! fold, and the assembled result is **bit-identical to the sequential fold
+//! for any worker count**.  The price is that every worker reads (and
+//! checksums) every chunk, which is the right trade for the multi-sample
+//! traces TVLA sweeps target; for single-sample archives the fold degrades
+//! gracefully to one effective worker.
 
 use std::io::{Read, Seek};
-use std::path::Path;
 
 use dpl_obs::{names, Obs};
 use dpl_power::TraceSet;
 use dpl_store::{
-    ArchiveReader, ChunkSource, DamageReport, FoldObs, Result as StoreResult, RetryPolicy,
-    SalvageOutcome, StoreError,
+    run_fold, run_fold_salvage, ArchiveMeta, ArchiveReader, ChunkSource, DamageReport,
+    Result as StoreResult, RetryPolicy,
 };
 
-use crate::tvla::{ColumnStats, SecondOrderWelchAccumulator, WelchAccumulator};
-use crate::{EvalError, Result, TvlaGroup, TvlaResult};
+use crate::tvla::{SecondOrderWelchAccumulator, WelchAccumulator};
+use crate::{Result, TvlaGroup, TvlaResult};
 
 /// Which t-test a TVLA evaluation runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -68,17 +67,11 @@ where
     S: ChunkSource + ?Sized,
     F: Fn(u64, u64) -> Option<TvlaGroup>,
 {
-    let mut accumulator = WelchAccumulator::new(partition);
-    let samples = source.samples_per_trace();
-    let mut fold = FoldObs::start(source.obs(), "eval.tvla_streaming");
-    let mut chunk = TraceSet::new();
-    for index in 0..source.chunk_count() {
-        source.read_chunk_into(index, &mut chunk)?;
-        fold.update(&chunk, samples);
-        fold.accumulate(|| accumulator.update(&chunk))?;
-    }
-    fold.finish();
-    accumulator.finalize()
+    run_fold(
+        source,
+        WelchAccumulator::new(partition),
+        "eval.tvla_streaming",
+    )
 }
 
 /// Second-order (centered-product) t-test folded over an archive in two
@@ -95,23 +88,11 @@ where
     S: ChunkSource + ?Sized,
     F: Fn(u64, u64) -> Option<TvlaGroup>,
 {
-    let mut accumulator = SecondOrderWelchAccumulator::new(partition);
-    let samples = source.samples_per_trace();
-    let mut fold = FoldObs::start(source.obs(), "eval.tvla_streaming_second_order");
-    let mut chunk = TraceSet::new();
-    for index in 0..source.chunk_count() {
-        source.read_chunk_into(index, &mut chunk)?;
-        fold.update(&chunk, samples);
-        fold.accumulate(|| accumulator.update(&chunk))?;
-    }
-    accumulator.begin_second_pass()?;
-    for index in 0..source.chunk_count() {
-        source.read_chunk_into(index, &mut chunk)?;
-        fold.update(&chunk, samples);
-        fold.accumulate(|| accumulator.update(&chunk))?;
-    }
-    fold.finish();
-    accumulator.finalize()
+    run_fold(
+        source,
+        SecondOrderWelchAccumulator::new(partition),
+        "eval.tvla_streaming_second_order",
+    )
 }
 
 /// TVLA over the surviving chunks of a damaged archive.
@@ -138,73 +119,15 @@ where
     R: Read + Seek,
     F: Fn(u64, u64) -> Option<TvlaGroup>,
 {
-    let chunks = reader.chunk_count();
-    let samples = reader.samples_per_trace();
-    let mut fold = FoldObs::start(reader.obs(), "eval.tvla_salvage");
-    let mut report = DamageReport {
-        chunks_scanned: chunks,
-        traces_total: reader.trace_count(),
-        ..DamageReport::default()
-    };
-    let mut damaged = vec![false; chunks];
+    let span = "eval.tvla_salvage";
     match order {
-        TvlaOrder::First => {
-            let mut accumulator = WelchAccumulator::new(partition);
-            for (index, flag) in damaged.iter_mut().enumerate() {
-                match reader.read_chunk_salvage(index, retry)? {
-                    SalvageOutcome::Intact(chunk) => {
-                        report.traces_read += chunk.len() as u64;
-                        fold.update(&chunk, samples);
-                        fold.accumulate(|| accumulator.update(&chunk))?;
-                    }
-                    SalvageOutcome::Damaged(d) => {
-                        *flag = true;
-                        report.damaged.push(d);
-                    }
-                }
-            }
-            fold.finish();
-            Ok((accumulator.finalize()?, report))
-        }
-        TvlaOrder::Second => {
-            let mut accumulator = SecondOrderWelchAccumulator::new(partition);
-            for (index, flag) in damaged.iter_mut().enumerate() {
-                match reader.read_chunk_salvage(index, retry)? {
-                    SalvageOutcome::Intact(chunk) => {
-                        report.traces_read += chunk.len() as u64;
-                        fold.update(&chunk, samples);
-                        fold.accumulate(|| accumulator.update(&chunk))?;
-                    }
-                    SalvageOutcome::Damaged(d) => {
-                        *flag = true;
-                        report.damaged.push(d);
-                    }
-                }
-            }
-            accumulator.begin_second_pass()?;
-            for (index, flag) in damaged.iter().enumerate() {
-                if *flag {
-                    continue;
-                }
-                match reader.read_chunk_salvage(index, retry)? {
-                    SalvageOutcome::Intact(chunk) => {
-                        fold.update(&chunk, samples);
-                        fold.accumulate(|| accumulator.update(&chunk))?;
-                    }
-                    SalvageOutcome::Damaged(d) => {
-                        return Err(EvalError::Store(StoreError::FormatViolation {
-                            message: format!(
-                                "chunk {} verified in pass 1 but failed in pass 2 ({}); \
-                                 refusing to finalize inconsistent passes",
-                                d.chunk, d.cause
-                            ),
-                        }));
-                    }
-                }
-            }
-            fold.finish();
-            Ok((accumulator.finalize()?, report))
-        }
+        TvlaOrder::First => run_fold_salvage(reader, WelchAccumulator::new(partition), span, retry),
+        TvlaOrder::Second => run_fold_salvage(
+            reader,
+            SecondOrderWelchAccumulator::new(partition),
+            span,
+            retry,
+        ),
     }
 }
 
@@ -212,26 +135,80 @@ fn default_worker_count() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get().min(8))
 }
 
-fn classify<F>(partition: &F, base: u64, inputs: &[u64]) -> Vec<Option<TvlaGroup>>
-where
-    F: Fn(u64, u64) -> Option<TvlaGroup>,
-{
-    inputs
-        .iter()
-        .enumerate()
-        .map(|(t, &input)| partition(base + t as u64, input))
-        .collect()
+/// A [`ChunkSource`] exposing only the sample columns `first, first + step,
+/// ...` of another source — the share one [`tvla_parallel`] worker folds.
+/// It carries no telemetry context: the parallel fold reports through its
+/// own span.
+struct ColumnView<S> {
+    source: S,
+    columns: Vec<usize>,
+    meta: ArchiveMeta,
+    full: TraceSet,
 }
 
-/// Per-worker output: the group counts (identical across workers) plus the
-/// per-sample per-group sums of the columns this worker owns (untouched
-/// defaults elsewhere).
-type WorkerStats = ([u64; 2], Vec<[ColumnStats; 2]>);
+impl<S: ChunkSource> ColumnView<S> {
+    fn new(source: S, first: usize, step: usize) -> Self {
+        let columns: Vec<usize> = (first..source.samples_per_trace()).step_by(step).collect();
+        let meta = ArchiveMeta {
+            samples_per_trace: columns.len(),
+            ..*source.meta()
+        };
+        ColumnView {
+            source,
+            columns,
+            meta,
+            full: TraceSet::new(),
+        }
+    }
+}
 
-/// Scoped-thread parallel TVLA over an archive file, sharded by **sample
-/// column**: worker `w` of `n` accumulates columns `w, w+n, w+2n, ...`
-/// while scanning the chunks in order, so every column's sums are built by
-/// the exact addition sequence of the sequential fold.
+impl<S: ChunkSource> ChunkSource for ColumnView<S> {
+    fn meta(&self) -> &ArchiveMeta {
+        &self.meta
+    }
+
+    fn trace_count(&self) -> u64 {
+        self.source.trace_count()
+    }
+
+    fn chunk_count(&self) -> usize {
+        self.source.chunk_count()
+    }
+
+    fn distinct_inputs(&self) -> Option<usize> {
+        self.source.distinct_inputs()
+    }
+
+    fn read_chunk(&mut self, index: usize) -> StoreResult<TraceSet> {
+        let mut set = TraceSet::new();
+        self.read_chunk_into(index, &mut set)?;
+        Ok(set)
+    }
+
+    fn read_chunk_into(&mut self, index: usize, set: &mut TraceSet) -> StoreResult<()> {
+        self.source.read_chunk_into(index, &mut self.full)?;
+        let (full, columns) = (&self.full, &self.columns);
+        let traces = full.len();
+        set.refill_columns(columns.len(), traces, |inputs, data| {
+            inputs.extend_from_slice(full.inputs());
+            for (j, &column) in columns.iter().enumerate() {
+                data[j * traces..(j + 1) * traces].copy_from_slice(full.sample_column(column));
+            }
+            Ok(())
+        })
+    }
+
+    fn obs(&self) -> Option<&Obs> {
+        None
+    }
+}
+
+/// Scoped-thread parallel TVLA over any reopenable [`ChunkSource`] (a
+/// single archive or a [`dpl_store::ShardedReader`] campaign), sharded by
+/// **sample column**: worker `w` of `n` opens its own source via `open` and
+/// folds columns `w, w+n, w+2n, ...` through the ordinary sequential fold,
+/// so every column's sums are built by the exact addition sequence of the
+/// sequential fold.
 ///
 /// The result is **bit-identical to [`tvla_streaming`] /
 /// [`tvla_streaming_second_order`] (and hence to the in-memory statistic)
@@ -239,33 +216,17 @@ type WorkerStats = ([u64; 2], Vec<[ColumnStats; 2]>);
 /// default to the available parallelism (capped at 8) and are clamped to
 /// the number of sample columns.
 ///
-/// # Errors
-///
-/// Returns an error for an empty or unreadable archive, or any chunk
-/// failure in any worker.
-pub fn tvla_parallel<F>(
-    path: &Path,
-    partition: F,
-    order: TvlaOrder,
-    workers: Option<usize>,
-) -> Result<TvlaResult>
-where
-    F: Fn(u64, u64) -> Option<TvlaGroup> + Sync,
-{
-    tvla_parallel_observed(path, partition, order, workers, None)
-}
-
-/// [`tvla_parallel`] over any reopenable [`ChunkSource`] — each worker
-/// opens its own source via `open` (e.g. a [`dpl_store::ShardedReader`]
-/// campaign manifest), so the same column-sharded fold runs over single
-/// archives and sharded campaigns alike, with the same bit-identity
-/// guarantee for any worker count.
+/// With a telemetry context the whole fold runs under an
+/// `eval.tvla_parallel` span (annotated with the worker and trace counts),
+/// the assembly of the per-worker results is attributed to a `fold.merge`
+/// phase span, and each reunion counts into `fold.merges`.  The workers'
+/// own folds are not observed.
 ///
 /// # Errors
 ///
-/// Returns an error for an empty or unopenable campaign, or any chunk
-/// failure in any worker.
-pub fn tvla_parallel_with<S, O, F>(
+/// Returns an error for an empty or unopenable campaign, or any chunk or
+/// fold failure in any worker.
+pub fn tvla_parallel<S, O, F>(
     open: O,
     partition: F,
     order: TvlaOrder,
@@ -278,11 +239,6 @@ where
     F: Fn(u64, u64) -> Option<TvlaGroup> + Sync,
 {
     let probe = open()?;
-    if probe.trace_count() == 0 {
-        return Err(EvalError::Misuse {
-            message: "no traces were accumulated".into(),
-        });
-    }
     let samples = probe.samples_per_trace();
     let traces = probe.trace_count();
     drop(probe);
@@ -291,39 +247,36 @@ where
         .clamp(1, samples.max(1));
     let span = obs.map(|o| o.span("eval.tvla_parallel"));
 
-    let open = &open;
-    let partition = &partition;
-    let mut outputs: Vec<Option<Result<WorkerStats>>> = Vec::with_capacity(workers);
-    outputs.resize_with(workers, || None);
-    std::thread::scope(|scope| {
-        for (worker, slot) in outputs.iter_mut().enumerate() {
-            scope.spawn(move || {
-                *slot = Some(match order {
-                    TvlaOrder::First => first_order_worker(open, partition, worker, workers),
-                    TvlaOrder::Second => second_order_worker(open, partition, worker, workers),
-                });
-            });
-        }
+    let (open, partition) = (&open, &partition);
+    let partials: Vec<Result<TvlaResult>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|worker| {
+                scope.spawn(move || {
+                    let mut view = ColumnView::new(open()?, worker, workers);
+                    match order {
+                        TvlaOrder::First => tvla_streaming(&mut view, partition),
+                        TvlaOrder::Second => tvla_streaming_second_order(&mut view, partition),
+                    }
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|handle| handle.join().expect("TVLA worker panicked"))
+            .collect()
     });
 
     let merge_phase = obs.map(|o| o.phase("fold.merge", names::FOLD_MERGE_NS));
-    let mut stats = vec![[ColumnStats::default(); 2]; samples];
+    let mut t = vec![0.0; samples];
     let mut counts = [0u64; 2];
-    for (worker, slot) in outputs.into_iter().enumerate() {
-        let (worker_counts, worker_stats) = slot.unwrap_or(Err(EvalError::Misuse {
-            message: format!("worker {worker} never ran"),
-        }))?;
-        if worker == 0 {
-            counts = worker_counts;
-        }
-        for s in (worker..samples).step_by(workers) {
-            stats[s] = worker_stats[s];
+    for (worker, partial) in partials.into_iter().enumerate() {
+        // Every worker classifies every trace, so the counts agree.
+        let partial = partial?;
+        counts = partial.counts;
+        for (slot, value) in t.iter_mut().skip(worker).step_by(workers).zip(partial.t) {
+            *slot = value;
         }
     }
-    let t = stats
-        .iter()
-        .map(|column| crate::tvla::t_statistic(counts, &column[0], &column[1]))
-        .collect();
     drop(merge_phase);
     if let Some(obs) = obs {
         obs.counter_add(names::FOLD_MERGES, workers as u64);
@@ -335,131 +288,4 @@ where
         span.finish();
     }
     Ok(TvlaResult { t, counts })
-}
-
-/// [`tvla_parallel`] with a telemetry context: the whole fold runs under an
-/// `eval.tvla_parallel` span (annotated with the worker and trace counts),
-/// the assembly of the per-worker partials is attributed to a `fold.merge`
-/// phase span, and each reunion counts into `fold.merges`.  Worker threads
-/// open their own readers without the context, so chunk-read counters
-/// reflect only the probing open — the span and merge phase carry the
-/// parallel fold's timing story.
-///
-/// # Errors
-///
-/// Returns an error for an empty or unreadable archive, or any chunk
-/// failure in any worker.
-pub fn tvla_parallel_observed<F>(
-    path: &Path,
-    partition: F,
-    order: TvlaOrder,
-    workers: Option<usize>,
-    obs: Option<&Obs>,
-) -> Result<TvlaResult>
-where
-    F: Fn(u64, u64) -> Option<TvlaGroup> + Sync,
-{
-    tvla_parallel_with(|| ArchiveReader::open(path), partition, order, workers, obs)
-}
-
-/// One first-order worker: scans every chunk in order (through one reused
-/// decode buffer), accumulates raw sums for its own columns only.
-fn first_order_worker<S, O, F>(
-    open: &O,
-    partition: &F,
-    worker: usize,
-    workers: usize,
-) -> Result<WorkerStats>
-where
-    S: ChunkSource,
-    O: Fn() -> StoreResult<S>,
-    F: Fn(u64, u64) -> Option<TvlaGroup>,
-{
-    let mut source = open()?;
-    let samples = source.samples_per_trace();
-    let mut stats = vec![[ColumnStats::default(); 2]; samples];
-    let mut counts = [0u64; 2];
-    let mut next = 0u64;
-    let mut chunk = TraceSet::new();
-    for index in 0..source.chunk_count() {
-        source.read_chunk_into(index, &mut chunk)?;
-        let groups = classify(partition, next, chunk.inputs());
-        for group in groups.iter().flatten() {
-            counts[group.index()] += 1;
-        }
-        for s in (worker..samples).step_by(workers) {
-            let column = chunk.sample_column(s);
-            for (group, &v) in groups.iter().zip(column) {
-                if let Some(g) = group {
-                    stats[s][g.index()].push(v);
-                }
-            }
-        }
-        next += chunk.len() as u64;
-    }
-    Ok((counts, stats))
-}
-
-/// One second-order worker: pass 1 accumulates the per-group sums of its
-/// columns, pass 2 the centered-product sums against the sealed means —
-/// the same arithmetic, in the same order, as the sequential
-/// [`SecondOrderWelchAccumulator`].
-fn second_order_worker<S, O, F>(
-    open: &O,
-    partition: &F,
-    worker: usize,
-    workers: usize,
-) -> Result<WorkerStats>
-where
-    S: ChunkSource,
-    O: Fn() -> StoreResult<S>,
-    F: Fn(u64, u64) -> Option<TvlaGroup>,
-{
-    let mut source = open()?;
-    let samples = source.samples_per_trace();
-    let mut sums = vec![[0.0f64; 2]; samples];
-    let mut counts = [0u64; 2];
-    let mut next = 0u64;
-    let mut chunk = TraceSet::new();
-    for index in 0..source.chunk_count() {
-        source.read_chunk_into(index, &mut chunk)?;
-        let groups = classify(partition, next, chunk.inputs());
-        for group in groups.iter().flatten() {
-            counts[group.index()] += 1;
-        }
-        for s in (worker..samples).step_by(workers) {
-            let column = chunk.sample_column(s);
-            for (group, &v) in groups.iter().zip(column) {
-                if let Some(g) = group {
-                    sums[s][g.index()] += v;
-                }
-            }
-        }
-        next += chunk.len() as u64;
-    }
-    // Seal the means exactly like begin_second_pass does.
-    let mut means = vec![[0.0f64; 2]; samples];
-    for s in 0..samples {
-        for group in 0..2 {
-            let n = counts[group] as f64;
-            means[s][group] = if n > 0.0 { sums[s][group] / n } else { 0.0 };
-        }
-    }
-    let mut stats = vec![[ColumnStats::default(); 2]; samples];
-    let mut next = 0u64;
-    for index in 0..source.chunk_count() {
-        source.read_chunk_into(index, &mut chunk)?;
-        let groups = classify(partition, next, chunk.inputs());
-        for s in (worker..samples).step_by(workers) {
-            let column = chunk.sample_column(s);
-            for (group, &v) in groups.iter().zip(column) {
-                if let Some(g) = group {
-                    let d = v - means[s][g.index()];
-                    stats[s][g.index()].push(d * d);
-                }
-            }
-        }
-        next += chunk.len() as u64;
-    }
-    Ok((counts, stats))
 }

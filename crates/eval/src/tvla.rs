@@ -11,7 +11,8 @@
 //! hundred traces.
 //!
 //! The accumulators here follow the protocol of
-//! [`dpl_power::DpaAccumulator`] / [`dpl_power::CpaAccumulator`]:
+//! [`dpl_power::DpaAccumulator`] / [`dpl_power::CpaAccumulator`] and
+//! implement the same [`dpl_power::Fold`] trait:
 //!
 //! * a **single `update` over a whole [`TraceSet`]** defines the in-memory
 //!   statistic ([`tvla`] / [`tvla_second_order`]),
@@ -33,7 +34,7 @@
 //! `dpl_store::CampaignKind::TvlaInterleaved` archives.
 
 use dpl_power::stats::welch_t_from_stats;
-use dpl_power::TraceSet;
+use dpl_power::{Fold, TraceSet};
 
 use crate::{EvalError, Result};
 
@@ -91,19 +92,19 @@ pub fn fixed_vs_fixed(a: u64, b: u64) -> impl Fn(u64, u64) -> Option<TvlaGroup> 
     }
 }
 
-/// Per-sample running sums shared by every Welch accumulator and the
-/// sample-sharded parallel fold: plain `sum`/`sum of squares`, accumulated
-/// strictly in trace order so any chunking (or column ownership) performs
-/// the identical addition sequence per slot.
+/// Per-sample running sums shared by every Welch accumulator: plain
+/// `sum`/`sum of squares`, accumulated strictly in trace order so any
+/// chunking (or column ownership) performs the identical addition sequence
+/// per slot.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub(crate) struct ColumnStats {
-    pub(crate) sum: f64,
-    pub(crate) sumsq: f64,
+struct ColumnStats {
+    sum: f64,
+    sumsq: f64,
 }
 
 impl ColumnStats {
     #[inline]
-    pub(crate) fn push(&mut self, v: f64) {
+    fn push(&mut self, v: f64) {
         self.sum += v;
         self.sumsq += v * v;
     }
@@ -118,7 +119,7 @@ impl ColumnStats {
 /// Unbiased variances; degenerate cases (a group below two traces, or
 /// non-positive pooled variance after cancellation) return `0.0`, matching
 /// `dpl_power::stats::welch_t`.
-pub(crate) fn t_statistic(counts: [u64; 2], a: &ColumnStats, b: &ColumnStats) -> f64 {
+fn t_statistic(counts: [u64; 2], a: &ColumnStats, b: &ColumnStats) -> f64 {
     let (na, nb) = (counts[0] as f64, counts[1] as f64);
     if na < 2.0 || nb < 2.0 {
         return 0.0;
@@ -361,6 +362,23 @@ where
     /// Returns an error if no traces were accumulated.
     pub fn finalize(self) -> Result<TvlaResult> {
         self.evaluate()
+    }
+}
+
+impl<F> Fold for WelchAccumulator<F>
+where
+    F: Fn(u64, u64) -> Option<TvlaGroup>,
+{
+    type Output = TvlaResult;
+    type Error = EvalError;
+    const PASSES: usize = 1;
+
+    fn update(&mut self, chunk: &TraceSet) -> Result<()> {
+        WelchAccumulator::update(self, chunk)
+    }
+
+    fn finalize(self) -> Result<TvlaResult> {
+        WelchAccumulator::finalize(self)
     }
 }
 
@@ -691,6 +709,27 @@ where
     /// See [`SecondOrderWelchAccumulator::evaluate`].
     pub fn finalize(self) -> Result<TvlaResult> {
         self.evaluate()
+    }
+}
+
+impl<F> Fold for SecondOrderWelchAccumulator<F>
+where
+    F: Fn(u64, u64) -> Option<TvlaGroup>,
+{
+    type Output = TvlaResult;
+    type Error = EvalError;
+    const PASSES: usize = 2;
+
+    fn update(&mut self, chunk: &TraceSet) -> Result<()> {
+        SecondOrderWelchAccumulator::update(self, chunk)
+    }
+
+    fn begin_second_pass(&mut self) -> Result<()> {
+        SecondOrderWelchAccumulator::begin_second_pass(self)
+    }
+
+    fn finalize(self) -> Result<TvlaResult> {
+        SecondOrderWelchAccumulator::finalize(self)
     }
 }
 

@@ -8,12 +8,16 @@
 //! exact same sequence of floating-point additions and produces
 //! **bit-identical** [`AttackResult`] scores.
 //!
+//! Both implement [`Fold`], the protocol the out-of-core chunk-loop driver
+//! of `dpl-store` runs: `update` per chunk, `begin_second_pass` between
+//! passes, `finalize` at the end.
+//!
 //! [`DpaAccumulator::merge`] / [`CpaAccumulator::merge`] combine partial
-//! accumulators built over disjoint trace ranges (the parallel out-of-core
-//! path).  Merging adds partial sums, which re-associates the floating-point
-//! reductions: merged results are deterministic for a fixed merge order but
-//! agree with the sequential fold only up to reassociation error (≪ 1e-12
-//! relative in practice), not bit-for-bit.
+//! accumulators built over disjoint trace ranges.  Merging adds partial
+//! sums, which re-associates the floating-point reductions: merged results
+//! are deterministic for a fixed merge order but agree with the sequential
+//! fold only up to reassociation error (≪ 1e-12 relative in practice), not
+//! bit-for-bit.
 //!
 //! Both accumulators mirror the two execution modes of the attacks: while at
 //! most [`MAX_INPUT_CLASSES`] distinct inputs have been seen, per-input-class
@@ -31,6 +35,42 @@
 use crate::attack::{best_result, AttackResult};
 use crate::trace::TraceSet;
 use crate::{PowerError, Result};
+
+/// A streaming statistic fed chunk by chunk, in trace order, once per pass:
+/// the part of the accumulator protocol the out-of-core driver of
+/// `dpl-store` calls.  `merge`/`fork` stay inherent on each accumulator.
+pub trait Fold {
+    /// What [`Fold::finalize`] returns.
+    type Output;
+    /// The error every step reports.
+    type Error;
+    /// How many times the driver feeds the traces (1 or 2).
+    const PASSES: usize;
+
+    /// Folds the next chunk of the current pass.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error for a malformed chunk or a protocol violation.
+    fn update(&mut self, chunk: &TraceSet) -> std::result::Result<(), Self::Error>;
+
+    /// Seals the first pass before the chunks are replayed; one-pass folds
+    /// keep this no-op default.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if the fold is already in its second pass.
+    fn begin_second_pass(&mut self) -> std::result::Result<(), Self::Error> {
+        Ok(())
+    }
+
+    /// Consumes the fold and returns its statistic.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if no traces were folded or the passes disagree.
+    fn finalize(self) -> std::result::Result<Self::Output, Self::Error>;
+}
 
 /// When the traces carry at most this many distinct inputs, the attacks
 /// aggregate per-input-class column sums once and score every key guess in
@@ -518,6 +558,23 @@ where
     }
 }
 
+impl<F> Fold for DpaAccumulator<F>
+where
+    F: Fn(u64, u64) -> bool,
+{
+    type Output = AttackResult;
+    type Error = PowerError;
+    const PASSES: usize = 1;
+
+    fn update(&mut self, chunk: &TraceSet) -> Result<()> {
+        DpaAccumulator::update(self, chunk)
+    }
+
+    fn finalize(self) -> Result<AttackResult> {
+        DpaAccumulator::finalize(self)
+    }
+}
+
 /// The pass a [`CpaAccumulator`] is in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum CpaPass {
@@ -977,6 +1034,27 @@ where
             }
         }
         Ok(best_result(scores))
+    }
+}
+
+impl<F> Fold for CpaAccumulator<F>
+where
+    F: Fn(u64, u64) -> f64,
+{
+    type Output = AttackResult;
+    type Error = PowerError;
+    const PASSES: usize = 2;
+
+    fn update(&mut self, chunk: &TraceSet) -> Result<()> {
+        CpaAccumulator::update(self, chunk)
+    }
+
+    fn begin_second_pass(&mut self) -> Result<()> {
+        CpaAccumulator::begin_second_pass(self)
+    }
+
+    fn finalize(self) -> Result<AttackResult> {
+        CpaAccumulator::finalize(self)
     }
 }
 

@@ -25,9 +25,9 @@
 //! The accumulators behind the attacks are public ([`DpaAccumulator`],
 //! [`CpaAccumulator`]): they can be fed a trace set in arbitrary chunks —
 //! e.g. streamed off the on-disk archives of `dpl-store` — and produce
-//! bit-identical scores to the in-memory attacks, and partial accumulators
-//! over disjoint trace ranges can be [`DpaAccumulator::merge`]d for parallel
-//! out-of-core folds.  [`TraceSink`] is the write-side counterpart: trace
+//! bit-identical scores to the in-memory attacks.  [`Fold`] names the
+//! chunk-fold protocol they share, which the out-of-core driver of
+//! `dpl-store` runs.  [`TraceSink`] is the write-side counterpart: trace
 //! generators stream measurements into any sink ([`TraceSet`] or an archive
 //! writer) without materializing the full set.
 
@@ -41,7 +41,7 @@ pub mod stats;
 mod trace;
 
 pub use accumulate::{
-    input_profile, CpaAccumulator, DpaAccumulator, InputProfile, MAX_INPUT_CLASSES,
+    input_profile, CpaAccumulator, DpaAccumulator, Fold, InputProfile, MAX_INPUT_CLASSES,
 };
 pub use attack::{best_result, cpa_attack, dpa_attack, reference, AttackResult};
 pub use trace::{Trace, TraceSet, TraceSink};

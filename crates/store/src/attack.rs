@@ -1,83 +1,73 @@
-//! Out-of-core DPA/CPA over archived traces.
+//! The out-of-core fold driver and the DPA/CPA attacks built on it.
 //!
-//! The attacks fold the mergeable accumulators of `dpl-power` chunk by
-//! chunk over an [`ArchiveReader`], so peak memory is one chunk (bounded by
-//! the reader's budget) no matter how many traces the archive holds.
+//! [`run_fold`] and [`run_fold_salvage`] feed any [`Fold`] chunk by chunk
+//! from a [`ChunkSource`], pass after pass, so peak memory is one chunk no
+//! matter how many traces the campaign holds.  They share one loop over
+//! passes × chunks and differ only in the read: strict reads decode into
+//! one reused [`TraceSet`] and abort on the first bad chunk; salvage reads
+//! skip damaged chunks.
 //!
-//! * The sequential folds ([`dpa_attack_streaming`], [`cpa_attack_streaming`])
-//!   perform the exact same floating-point operations as the in-memory
-//!   `dpl_power::dpa_attack` / `cpa_attack` on the same traces and return
-//!   **bit-identical** [`AttackResult`] scores.
-//! * The parallel folds ([`dpa_attack_parallel`], [`cpa_attack_parallel`])
-//!   build one partial accumulator per chunk across scoped threads and merge
-//!   them in chunk order: results are deterministic and worker-count
-//!   independent, but merging re-associates the reductions, so scores agree
-//!   with the sequential fold only up to floating-point reassociation error.
+//! Folding chunk by chunk performs the exact same floating-point operations
+//! as one update over the whole set, so [`dpa_attack_streaming`] /
+//! [`cpa_attack_streaming`] are **bit-identical** to the in-memory
+//! `dpl_power::dpa_attack` / `cpa_attack` on the same traces.
 
-use std::path::Path;
+use std::io::{Read, Seek};
 
 use dpl_obs::{names, rate_per_sec, Obs, SpanGuard};
-use dpl_power::{AttackResult, CpaAccumulator, DpaAccumulator, InputProfile, TraceSet};
+use dpl_power::{AttackResult, CpaAccumulator, DpaAccumulator, Fold, InputProfile, TraceSet};
 
 use crate::error::{Result, StoreError};
+use crate::fault::RetryPolicy;
 use crate::reader::{ArchiveReader, ChunkSource};
+use crate::salvage::{DamageReport, SalvageOutcome};
 
 /// Chunk-granular fold telemetry: accumulates locally (no lock traffic in
 /// the hot loop beyond the reader's own counters) and flushes counters plus
-/// peak-throughput gauges when the fold finishes.
-pub struct FoldObs {
+/// peak-throughput gauges when the fold finishes.  Without a context every
+/// call is a plain pass-through.
+struct FoldObs {
     obs: Option<Obs>,
     span: Option<SpanGuard>,
+    samples_per_trace: usize,
     traces: u64,
-    bytes: u64,
     updates: u64,
 }
 
 impl FoldObs {
-    /// Starts observing a fold; a `None` context makes every call a no-op.
-    pub fn start(obs: Option<&Obs>, span_name: &str) -> Self {
-        let obs = obs.cloned();
+    fn start(obs: Option<Obs>, span_name: &str, samples_per_trace: usize) -> Self {
         let span = obs.as_ref().map(|o| o.span(span_name));
         FoldObs {
             obs,
             span,
+            samples_per_trace,
             traces: 0,
-            bytes: 0,
             updates: 0,
         }
     }
 
-    /// Notes one chunk folded into an accumulator and advances the context's
-    /// progress plane (when one is enabled) by the chunk's trace count.
-    pub fn update(&mut self, chunk: &TraceSet, samples_per_trace: usize) {
-        let Some(obs) = &self.obs else { return };
+    /// Counts one chunk, advances the progress plane by its trace count,
+    /// then runs the fold `step` under a `fold.update` phase span, so
+    /// accumulator arithmetic is attributed separately from archive I/O.
+    fn update<T>(&mut self, chunk: &TraceSet, step: impl FnOnce() -> T) -> T {
+        let Some(obs) = &self.obs else { return step() };
         self.traces += chunk.len() as u64;
-        // Trace payload bytes: 8-byte input + 8 bytes per sample, per trace.
-        self.bytes += (chunk.len() * (8 + 8 * samples_per_trace)) as u64;
         self.updates += 1;
         obs.progress_advance(chunk.len() as u64);
-    }
-
-    /// Runs one accumulator fold step under a `fold.update` phase span, so
-    /// accumulator arithmetic is attributed separately from archive I/O.
-    /// Without a context this is a plain call.
-    pub fn accumulate<T>(&self, step: impl FnOnce() -> T) -> T {
-        let phase = self
-            .obs
-            .as_ref()
-            .map(|o| o.phase("fold.update", names::FOLD_UPDATE_NS));
-        let result = step();
-        drop(phase);
-        result
+        let _phase = obs.phase("fold.update", names::FOLD_UPDATE_NS);
+        step()
     }
 
     /// Flushes counters and rate gauges and closes the span (annotated with
     /// the fold's trace/byte/update totals).
-    pub fn finish(self) {
-        let Some(obs) = self.obs else { return };
-        let Some(span) = self.span else { return };
+    fn finish(self) {
+        let (Some(obs), Some(span)) = (self.obs, self.span) else {
+            return;
+        };
+        // Trace payload bytes: 8-byte input + 8 bytes per sample, per trace.
+        let bytes = self.traces * (8 + 8 * self.samples_per_trace as u64);
         span.arg("traces", self.traces);
-        span.arg("bytes", self.bytes);
+        span.arg("bytes", bytes);
         span.arg("updates", self.updates);
         let elapsed = span.finish();
         obs.counter_add(names::FOLD_TRACES, self.traces);
@@ -85,10 +75,117 @@ impl FoldObs {
         if let Some(rate) = rate_per_sec(self.traces, elapsed) {
             obs.gauge_max(names::FOLD_TRACES_PER_SEC, rate);
         }
-        if let Some(rate) = rate_per_sec(self.bytes, elapsed) {
+        if let Some(rate) = rate_per_sec(bytes, elapsed) {
             obs.gauge_max(names::FOLD_BYTES_PER_SEC, rate);
         }
     }
+}
+
+/// The one chunk loop: for every pass and chunk, `read(pass, index, chunk)`
+/// fills `chunk` and says whether to fold it; `watch` observes every folded
+/// chunk.
+fn drive<F, E>(
+    mut fold: F,
+    mut watch: FoldObs,
+    chunks: usize,
+    mut read: impl FnMut(usize, usize, &mut TraceSet) -> Result<bool>,
+) -> std::result::Result<F::Output, E>
+where
+    F: Fold,
+    E: From<StoreError> + From<F::Error>,
+{
+    let mut chunk = TraceSet::new();
+    for pass in 0..F::PASSES {
+        if pass > 0 {
+            fold.begin_second_pass()?;
+        }
+        for index in 0..chunks {
+            if read(pass, index, &mut chunk)? {
+                watch.update(&chunk, || fold.update(&chunk))?;
+            }
+        }
+    }
+    watch.finish();
+    Ok(fold.finalize()?)
+}
+
+/// Folds every chunk of `source`, in order, once per pass of `fold`, with
+/// strict reads into one reused decode buffer; the fold's telemetry lands
+/// in the source's context under a span named `span`.
+///
+/// # Errors
+///
+/// Returns the first chunk failure (I/O, truncation, checksum mismatch) or
+/// fold error.
+pub fn run_fold<S, F, E>(source: &mut S, fold: F, span: &str) -> std::result::Result<F::Output, E>
+where
+    S: ChunkSource + ?Sized,
+    F: Fold,
+    E: From<StoreError> + From<F::Error>,
+{
+    let watch = FoldObs::start(source.obs().cloned(), span, source.samples_per_trace());
+    let chunks = source.chunk_count();
+    drive(fold, watch, chunks, |_, index, chunk| {
+        source.read_chunk_into(index, chunk)?;
+        Ok(true)
+    })
+}
+
+/// [`run_fold`] under the salvage rules of [`mod@crate::salvage`]: damaged
+/// chunks are skipped in every pass and recorded in the returned
+/// [`DamageReport`], after retrying transient I/O errors under `retry`.
+///
+/// # Errors
+///
+/// Returns an error for non-chunk-local failures, a fold error (e.g. no
+/// surviving traces), or — as a [`StoreError::FormatViolation`] naming the
+/// chunk — a chunk that verified in pass 1 but failed in pass 2.
+pub fn run_fold_salvage<R, F, E>(
+    reader: &mut ArchiveReader<R>,
+    fold: F,
+    span: &str,
+    retry: &RetryPolicy,
+) -> std::result::Result<(F::Output, DamageReport), E>
+where
+    R: Read + Seek,
+    F: Fold,
+    E: From<StoreError> + From<F::Error>,
+{
+    let watch = FoldObs::start(reader.obs().cloned(), span, reader.samples_per_trace());
+    let chunks = reader.chunk_count();
+    let mut report = DamageReport {
+        chunks_scanned: chunks,
+        traces_total: reader.trace_count(),
+        ..DamageReport::default()
+    };
+    let mut damaged = vec![false; chunks];
+    let output = drive::<F, E>(fold, watch, chunks, |pass, index, chunk| {
+        if damaged[index] {
+            return Ok(false);
+        }
+        match reader.read_chunk_salvage(index, retry)? {
+            SalvageOutcome::Intact(set) => {
+                if pass == 0 {
+                    report.traces_read += set.len() as u64;
+                }
+                *chunk = set;
+                Ok(true)
+            }
+            SalvageOutcome::Damaged(d) if pass == 0 => {
+                damaged[index] = true;
+                report.damaged.push(d);
+                Ok(false)
+            }
+            SalvageOutcome::Damaged(d) => Err(StoreError::FormatViolation {
+                message: format!(
+                    "chunk {} verified in pass 1 but failed in pass 2 ({}); \
+                     refusing to finalize inconsistent passes",
+                    d.chunk, d.cause
+                ),
+            }),
+        }
+    })?;
+    Ok((output, report))
 }
 
 /// The accumulator bookkeeping implied by the campaign's recorded distinct
@@ -120,17 +217,8 @@ where
     S: ChunkSource + ?Sized,
     F: Fn(u64, u64) -> bool,
 {
-    let mut accumulator = DpaAccumulator::with_profile(key_guesses, selection, profile_of(source))?;
-    let samples = source.samples_per_trace();
-    let mut fold = FoldObs::start(source.obs(), "store.dpa_attack_streaming");
-    let mut chunk = TraceSet::new();
-    for index in 0..source.chunk_count() {
-        source.read_chunk_into(index, &mut chunk)?;
-        fold.update(&chunk, samples);
-        fold.accumulate(|| accumulator.update(&chunk))?;
-    }
-    fold.finish();
-    Ok(accumulator.finalize()?)
+    let accumulator = DpaAccumulator::with_profile(key_guesses, selection, profile_of(source))?;
+    run_fold(source, accumulator, "store.dpa_attack_streaming")
 }
 
 /// Correlation power analysis folded over any [`ChunkSource`] in two
@@ -152,225 +240,6 @@ where
     S: ChunkSource + ?Sized,
     F: Fn(u64, u64) -> f64,
 {
-    let mut accumulator = CpaAccumulator::with_profile(key_guesses, model, profile_of(source))?;
-    let samples = source.samples_per_trace();
-    let mut fold = FoldObs::start(source.obs(), "store.cpa_attack_streaming");
-    let mut chunk = TraceSet::new();
-    for index in 0..source.chunk_count() {
-        source.read_chunk_into(index, &mut chunk)?;
-        fold.update(&chunk, samples);
-        fold.accumulate(|| accumulator.update(&chunk))?;
-    }
-    accumulator.begin_second_pass()?;
-    for index in 0..source.chunk_count() {
-        source.read_chunk_into(index, &mut chunk)?;
-        fold.update(&chunk, samples);
-        fold.accumulate(|| accumulator.update(&chunk))?;
-    }
-    fold.finish();
-    Ok(accumulator.finalize()?)
-}
-
-fn default_worker_count() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get().min(8))
-}
-
-/// Runs `build` on every chunk index across `workers` scoped threads (each
-/// worker opens its own [`ChunkSource`] via `open`, so no seek positions
-/// are shared) and returns the per-chunk results in chunk order.
-pub(crate) fn per_chunk_parallel<S, T, B, O>(
-    open: &O,
-    chunks: usize,
-    workers: usize,
-    build: B,
-) -> Result<Vec<T>>
-where
-    S: ChunkSource,
-    T: Send,
-    B: Fn(&mut S, usize) -> Result<T> + Sync,
-    O: Fn() -> Result<S> + Sync,
-{
-    type Slot<'a, T> = (usize, &'a mut Option<Result<T>>);
-    let mut slots: Vec<Option<Result<T>>> = Vec::with_capacity(chunks);
-    slots.resize_with(chunks, || None);
-    {
-        // Deal the chunk slots round-robin onto the workers: no locks, and
-        // the chunk -> result mapping stays worker-count independent.
-        let mut by_worker: Vec<Vec<Slot<'_, T>>> = (0..workers).map(|_| Vec::new()).collect();
-        for (chunk, slot) in slots.iter_mut().enumerate() {
-            by_worker[chunk % workers].push((chunk, slot));
-        }
-        let build = &build;
-        std::thread::scope(|scope| {
-            for lot in by_worker {
-                scope.spawn(move || {
-                    let mut source = None;
-                    for (chunk, slot) in lot {
-                        if source.is_none() {
-                            match open() {
-                                Ok(s) => source = Some(s),
-                                Err(e) => {
-                                    *slot = Some(Err(e));
-                                    continue;
-                                }
-                            }
-                        }
-                        let s = source.as_mut().expect("source opened");
-                        *slot = Some(build(s, chunk));
-                    }
-                });
-            }
-        });
-    }
-    slots
-        .into_iter()
-        .enumerate()
-        .map(|(chunk, slot)| {
-            slot.unwrap_or(Err(StoreError::FormatViolation {
-                message: format!("chunk {chunk} was never processed"),
-            }))
-        })
-        .collect()
-}
-
-/// Parallel out-of-core DPA: one partial [`DpaAccumulator`] per chunk,
-/// built across scoped threads and merged in chunk order.
-///
-/// Deterministic and worker-count independent; agrees with
-/// [`dpa_attack_streaming`] up to floating-point reassociation.
-///
-/// # Errors
-///
-/// Returns an error for zero guesses, an empty or unreadable archive, or
-/// any chunk failure.
-pub fn dpa_attack_parallel<F>(
-    path: &Path,
-    key_guesses: u64,
-    selection: F,
-    workers: Option<usize>,
-) -> Result<AttackResult>
-where
-    F: Fn(u64, u64) -> bool + Clone + Send + Sync,
-{
-    dpa_attack_parallel_with(
-        || ArchiveReader::open(path),
-        key_guesses,
-        selection,
-        workers,
-    )
-}
-
-/// [`dpa_attack_parallel`] over any reopenable [`ChunkSource`] — each
-/// worker opens its own source via `open` (e.g. a [`crate::ShardedReader`]
-/// manifest), so the same chunk-order merge runs over single archives and
-/// sharded campaigns alike.
-///
-/// # Errors
-///
-/// Returns an error for zero guesses, an empty or unopenable campaign, or
-/// any chunk failure.
-pub fn dpa_attack_parallel_with<S, O, F>(
-    open: O,
-    key_guesses: u64,
-    selection: F,
-    workers: Option<usize>,
-) -> Result<AttackResult>
-where
-    S: ChunkSource,
-    O: Fn() -> Result<S> + Sync,
-    F: Fn(u64, u64) -> bool + Clone + Send + Sync,
-{
-    let probe = open()?;
-    let chunks = probe.chunk_count();
-    let profile = profile_of(&probe);
-    drop(probe);
-    let workers = workers
-        .unwrap_or_else(default_worker_count)
-        .clamp(1, chunks.max(1));
-    let selection_ref = &selection;
-    let partials = per_chunk_parallel(&open, chunks, workers, move |source: &mut S, index| {
-        let mut acc = DpaAccumulator::with_profile(key_guesses, selection_ref.clone(), profile)?;
-        acc.update(&source.read_chunk(index)?)?;
-        Ok(acc)
-    })?;
-    let mut total = DpaAccumulator::with_profile(key_guesses, selection.clone(), profile)?;
-    for partial in &partials {
-        total.merge(partial)?;
-    }
-    Ok(total.finalize()?)
-}
-
-/// Parallel out-of-core CPA: per-chunk pass-1 partials merged in chunk
-/// order, then per-chunk pass-2 forks of the sealed accumulator merged in
-/// chunk order.
-///
-/// Deterministic and worker-count independent; agrees with
-/// [`cpa_attack_streaming`] up to floating-point reassociation.
-///
-/// # Errors
-///
-/// Returns an error for zero guesses, an empty or unreadable archive, or
-/// any chunk failure.
-pub fn cpa_attack_parallel<F>(
-    path: &Path,
-    key_guesses: u64,
-    model: F,
-    workers: Option<usize>,
-) -> Result<AttackResult>
-where
-    F: Fn(u64, u64) -> f64 + Clone + Send + Sync,
-{
-    cpa_attack_parallel_with(|| ArchiveReader::open(path), key_guesses, model, workers)
-}
-
-/// [`cpa_attack_parallel`] over any reopenable [`ChunkSource`] — each
-/// worker opens its own source via `open` (e.g. a [`crate::ShardedReader`]
-/// manifest), so the same two-pass chunk-order merge runs over single
-/// archives and sharded campaigns alike.
-///
-/// # Errors
-///
-/// Returns an error for zero guesses, an empty or unopenable campaign, or
-/// any chunk failure.
-pub fn cpa_attack_parallel_with<S, O, F>(
-    open: O,
-    key_guesses: u64,
-    model: F,
-    workers: Option<usize>,
-) -> Result<AttackResult>
-where
-    S: ChunkSource,
-    O: Fn() -> Result<S> + Sync,
-    F: Fn(u64, u64) -> f64 + Clone + Send + Sync,
-{
-    let probe = open()?;
-    let chunks = probe.chunk_count();
-    let profile = profile_of(&probe);
-    drop(probe);
-    let workers = workers
-        .unwrap_or_else(default_worker_count)
-        .clamp(1, chunks.max(1));
-
-    let model_ref = &model;
-    let partials = per_chunk_parallel(&open, chunks, workers, move |source: &mut S, index| {
-        let mut acc = CpaAccumulator::with_profile(key_guesses, model_ref.clone(), profile)?;
-        acc.update(&source.read_chunk(index)?)?;
-        Ok(acc)
-    })?;
-    let mut total = CpaAccumulator::with_profile(key_guesses, model.clone(), profile)?;
-    for partial in &partials {
-        total.merge(partial)?;
-    }
-    total.begin_second_pass()?;
-
-    let total_ref = &total;
-    let forks = per_chunk_parallel(&open, chunks, workers, move |source: &mut S, index| {
-        let mut fork = total_ref.fork()?;
-        fork.update(&source.read_chunk(index)?)?;
-        Ok(fork)
-    })?;
-    for fork in &forks {
-        total.merge(fork)?;
-    }
-    Ok(total.finalize()?)
+    let accumulator = CpaAccumulator::with_profile(key_guesses, model, profile_of(source))?;
+    run_fold(source, accumulator, "store.cpa_attack_streaming")
 }

@@ -14,12 +14,12 @@
 //!   straight to disk without materializing a `TraceSet`,
 //! * [`ArchiveReader`] — header-validating, checksum-verifying chunk
 //!   iterator with a configurable in-memory chunk budget,
+//! * [`run_fold`] / [`run_fold_salvage`] — the one chunk-loop driver: it
+//!   feeds any `dpl_power::Fold` chunk by chunk, pass by pass, under
+//!   strict or salvage reads,
 //! * [`dpa_attack_streaming`] / [`cpa_attack_streaming`] — out-of-core
-//!   attacks, **bit-identical** to the in-memory
-//!   `dpl_power::dpa_attack`/`cpa_attack` on the same traces,
-//! * [`dpa_attack_parallel`] / [`cpa_attack_parallel`] — scoped-thread
-//!   folds that merge per-chunk partial accumulators in chunk order
-//!   (deterministic, worker-count independent).
+//!   attacks on that driver, **bit-identical** to the in-memory
+//!   `dpl_power::dpa_attack`/`cpa_attack` on the same traces.
 //!
 //! Corruption anywhere — header or chunk — surfaces as a typed
 //! [`StoreError`], never as silently wrong scores.
@@ -30,8 +30,8 @@
 //!   capture's valid chunk prefix and [`ArchiveWriter::resume`] continues
 //!   appending to it, bit-identical to an uninterrupted capture,
 //! * [`mod@salvage`] — [`ReadPolicy::Salvage`] reads that skip damaged
-//!   chunks into a [`DamageReport`] and feed survivors to the attack
-//!   accumulators ([`dpa_attack_salvage`] / [`cpa_attack_salvage`]), plus
+//!   chunks into a [`DamageReport`] and feed survivors to the fold driver
+//!   ([`dpa_attack_salvage`] / [`cpa_attack_salvage`]), plus
 //!   [`repair_archive`] for quarantined-clean copies,
 //! * [`mod@fault`] — [`FaultStream`] deterministic fault injection and the
 //!   bounded [`RetryPolicy`], the machinery that proves the two layers
@@ -63,10 +63,7 @@ pub mod salvage;
 pub mod shard;
 mod writer;
 
-pub use attack::{
-    cpa_attack_parallel, cpa_attack_parallel_with, cpa_attack_streaming, dpa_attack_parallel,
-    dpa_attack_parallel_with, dpa_attack_streaming, FoldObs,
-};
+pub use attack::{cpa_attack_streaming, dpa_attack_streaming, run_fold, run_fold_salvage};
 pub use encode::{Compression, Quantization, SampleEncoding};
 pub use error::{ReadSite, Result, StoreError};
 pub use fault::{Fault, FaultPlan, FaultStream, RetryPolicy};

@@ -2,7 +2,7 @@
 //!
 //! A strict read aborts on the first bad chunk; a salvage read skips it,
 //! records *what* was lost in a [`DamageReport`], and feeds every surviving
-//! chunk to the mergeable attack accumulators.  The guarantees:
+//! chunk to a fold through [`crate::run_fold_salvage`].  The guarantees:
 //!
 //! * **Fail closed per chunk.**  A chunk either verifies its checksum and is
 //!   used in full, or is excluded in full — partial chunk data never reaches
@@ -23,7 +23,7 @@ use std::path::Path;
 use dpl_obs::names;
 use dpl_power::{AttackResult, CpaAccumulator, DpaAccumulator, TraceSet};
 
-use crate::attack::{profile_of, FoldObs};
+use crate::attack::{profile_of, run_fold_salvage};
 use crate::error::{ReadSite, Result, StoreError};
 use crate::fault::RetryPolicy;
 use crate::reader::ArchiveReader;
@@ -248,26 +248,8 @@ where
     R: Read + Seek,
     F: Fn(u64, u64) -> bool,
 {
-    let mut accumulator = DpaAccumulator::with_profile(key_guesses, selection, profile_of(reader))?;
-    let samples = reader.samples_per_trace();
-    let mut fold = FoldObs::start(reader.obs(), "store.dpa_attack_salvage");
-    let mut report = DamageReport {
-        chunks_scanned: reader.chunk_count(),
-        traces_total: reader.trace_count(),
-        ..DamageReport::default()
-    };
-    for index in 0..reader.chunk_count() {
-        match reader.read_chunk_salvage(index, retry)? {
-            SalvageOutcome::Intact(chunk) => {
-                report.traces_read += chunk.len() as u64;
-                fold.update(&chunk, samples);
-                accumulator.update(&chunk)?;
-            }
-            SalvageOutcome::Damaged(d) => report.damaged.push(d),
-        }
-    }
-    fold.finish();
-    Ok((accumulator.finalize()?, report))
+    let accumulator = DpaAccumulator::with_profile(key_guesses, selection, profile_of(reader))?;
+    run_fold_salvage(reader, accumulator, "store.dpa_attack_salvage", retry)
 }
 
 /// Correlation power analysis over the surviving chunks of an archive (two
@@ -293,51 +275,8 @@ where
     R: Read + Seek,
     F: Fn(u64, u64) -> f64,
 {
-    let mut accumulator = CpaAccumulator::with_profile(key_guesses, model, profile_of(reader))?;
-    let samples = reader.samples_per_trace();
-    let mut fold = FoldObs::start(reader.obs(), "store.cpa_attack_salvage");
-    let mut report = DamageReport {
-        chunks_scanned: reader.chunk_count(),
-        traces_total: reader.trace_count(),
-        ..DamageReport::default()
-    };
-    let mut damaged = vec![false; reader.chunk_count()];
-    for (index, flag) in damaged.iter_mut().enumerate() {
-        match reader.read_chunk_salvage(index, retry)? {
-            SalvageOutcome::Intact(chunk) => {
-                report.traces_read += chunk.len() as u64;
-                fold.update(&chunk, samples);
-                accumulator.update(&chunk)?;
-            }
-            SalvageOutcome::Damaged(d) => {
-                *flag = true;
-                report.damaged.push(d);
-            }
-        }
-    }
-    accumulator.begin_second_pass()?;
-    for (index, flag) in damaged.iter().enumerate() {
-        if *flag {
-            continue;
-        }
-        match reader.read_chunk_salvage(index, retry)? {
-            SalvageOutcome::Intact(chunk) => {
-                fold.update(&chunk, samples);
-                accumulator.update(&chunk)?;
-            }
-            SalvageOutcome::Damaged(d) => {
-                return Err(StoreError::FormatViolation {
-                    message: format!(
-                        "chunk {} verified in pass 1 but failed in pass 2 ({}); \
-                         refusing to finalize inconsistent passes",
-                        d.chunk, d.cause
-                    ),
-                });
-            }
-        }
-    }
-    fold.finish();
-    Ok((accumulator.finalize()?, report))
+    let accumulator = CpaAccumulator::with_profile(key_guesses, model, profile_of(reader))?;
+    run_fold_salvage(reader, accumulator, "store.cpa_attack_salvage", retry)
 }
 
 /// Rewrites the salvageable traces of `src` into a fresh, clean archive at

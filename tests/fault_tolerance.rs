@@ -9,7 +9,8 @@ use std::io::{Cursor, ErrorKind};
 use std::time::Duration;
 
 use dpl_eval::{
-    interleaved_partition, tvla_salvage, tvla_streaming, tvla_streaming_second_order, TvlaOrder,
+    interleaved_partition, tvla_salvage, tvla_streaming, tvla_streaming_second_order, EvalError,
+    TvlaOrder,
 };
 use dpl_store::{
     cpa_attack_salvage, cpa_attack_streaming, dpa_attack_salvage, dpa_attack_streaming, recover,
@@ -422,6 +423,68 @@ fn salvage_tvla_equals_strict_tvla_without_the_lost_chunk() {
                 "{order:?} t-stats not bit-identical"
             );
         }
+    }
+}
+
+/// A salvage reader over an in-memory archive whose stream injects `plan`.
+type FaultyReader<'a> = ArchiveReader<&'a mut FaultStream<Cursor<Vec<u8>>>>;
+
+/// Runs a two-pass salvage fold over `bytes` with a non-retried I/O error
+/// injected at the fold's last stream operation — a pass-2 read of the
+/// last chunk, located by a fault-free counting run — and returns the
+/// fold's error.
+fn fail_last_pass_two_read<T, E>(
+    bytes: &[u8],
+    fold: impl Fn(&mut FaultyReader<'_>, &RetryPolicy) -> Result<T, E>,
+) -> E {
+    let retry = instant_retry(0);
+    let mut counting = FaultStream::counting(Cursor::new(bytes.to_vec()));
+    {
+        let mut reader =
+            ArchiveReader::with_policy(&mut counting, ReadPolicy::Salvage).expect("open");
+        if fold(&mut reader, &retry).is_err() {
+            panic!("the fault-free salvage fold failed");
+        }
+    }
+    let last = counting.ops() - 1;
+    let mut faulty = FaultStream::new(
+        Cursor::new(bytes.to_vec()),
+        FaultPlan::error_at(last, ErrorKind::Other),
+    );
+    let mut reader = ArchiveReader::with_policy(&mut faulty, ReadPolicy::Salvage).expect("open");
+    match fold(&mut reader, &retry) {
+        Ok(_) => panic!("a chunk lost in pass 2 was folded anyway"),
+        Err(e) => e,
+    }
+}
+
+/// A chunk that verified in pass 1 but fails in pass 2 must fail closed
+/// with a typed error naming the chunk, for both two-pass salvage folds:
+/// the passes would otherwise fold different traces.
+#[test]
+fn pass_two_failure_of_a_verified_chunk_fails_closed() {
+    let meta = tvla_meta(2, 16);
+    let bytes = write_archive(&interleaved_traces(64, 2), meta); // 4 chunks
+    let expected = "chunk 3 verified in pass 1 but failed in pass 2";
+
+    let error = fail_last_pass_two_read(&bytes, |reader, retry| {
+        cpa_attack_salvage(reader, 16, model, retry)
+    });
+    match error {
+        StoreError::FormatViolation { message } => {
+            assert!(message.contains(expected), "{message}")
+        }
+        other => panic!("expected a format violation, got {other:?}"),
+    }
+
+    let error = fail_last_pass_two_read(&bytes, |reader, retry| {
+        tvla_salvage(reader, interleaved_partition, TvlaOrder::Second, retry)
+    });
+    match error {
+        EvalError::Store(StoreError::FormatViolation { message }) => {
+            assert!(message.contains(expected), "{message}")
+        }
+        other => panic!("expected a format violation, got {other:?}"),
     }
 }
 

@@ -107,26 +107,29 @@ fn streaming_tvla_is_bit_identical_and_worker_count_independent() {
 
     // The sample-sharded parallel fold is bit-identical to the sequential
     // one for every worker count — including more workers than samples.
+    let open = || ArchiveReader::open(&path);
     for workers in [1, 2, 3, 5, 8] {
         let parallel = tvla_parallel(
-            &path,
+            open,
             interleaved_partition,
             TvlaOrder::First,
             Some(workers),
+            None,
         )
         .expect("parallel");
         assert_eq!(parallel, first_mem, "first order, workers = {workers}");
         let parallel = tvla_parallel(
-            &path,
+            open,
             interleaved_partition,
             TvlaOrder::Second,
             Some(workers),
+            None,
         )
         .expect("parallel 2nd");
         assert_eq!(parallel, second_mem, "second order, workers = {workers}");
     }
     let default_workers =
-        tvla_parallel(&path, interleaved_partition, TvlaOrder::First, None).expect("parallel");
+        tvla_parallel(open, interleaved_partition, TvlaOrder::First, None, None).expect("parallel");
     assert_eq!(default_workers, first_mem);
 
     let _ = std::fs::remove_file(&path);

@@ -15,7 +15,10 @@ use dpl_crypto::{
     present_sbox, simulate_trace_range_into, simulate_tvla_trace_range_into,
     synthesize_sbox_with_key, GateEnergyTable, LeakageModel, LeakageOptions,
 };
-use dpl_eval::{interleaved_partition, tvla_streaming};
+use dpl_eval::{
+    interleaved_partition, tvla_parallel, tvla_streaming, tvla_streaming_second_order, TvlaOrder,
+    TvlaResult,
+};
 use dpl_store::{
     cpa_attack_streaming, dpa_attack_streaming, ArchiveMeta, ArchiveReader, ArchiveWriter,
     CampaignKind, CampaignManifest, ChunkSource, Compression, ModelTag, Quantization,
@@ -434,6 +437,45 @@ fn sharded_capture_matches_single_block_seeded_archive() {
         }
         remove_all(&files);
     }
+}
+
+/// The column-sharded parallel TVLA over a sharded campaign: every worker
+/// opens its own `ShardedReader` over the manifest, and the result is
+/// bit-identical to the sequential folds over the same manifest for any
+/// worker count, both orders.
+#[test]
+fn tvla_parallel_over_a_sharded_campaign_matches_the_sequential_folds() {
+    let traces = bounded_traces(11, 600, 5);
+    let meta = meta_with(
+        5,
+        32,
+        11,
+        CampaignKind::TvlaInterleaved,
+        SampleEncoding::F64,
+        Compression::None,
+    );
+    let (manifest, files) = write_campaign(&temp_stem("tvla_parallel"), &traces, meta, 3);
+    let mut sequential = ShardedReader::open(&manifest).expect("campaign open");
+    assert_eq!(sequential.shard_count(), 3);
+    let first = tvla_streaming(&mut sequential, interleaved_partition).expect("tvla");
+    let second =
+        tvla_streaming_second_order(&mut sequential, interleaved_partition).expect("tvla 2nd");
+
+    let bits = |r: &TvlaResult| r.t.iter().map(|t| t.to_bits()).collect::<Vec<_>>();
+    let open = || ShardedReader::open(&manifest);
+    for workers in [1, 2, 3] {
+        for (order, expected) in [(TvlaOrder::First, &first), (TvlaOrder::Second, &second)] {
+            let parallel = tvla_parallel(open, interleaved_partition, order, Some(workers), None)
+                .expect("parallel");
+            assert_eq!(parallel.counts, expected.counts);
+            assert_eq!(
+                bits(&parallel),
+                bits(expected),
+                "{order:?}, workers = {workers}"
+            );
+        }
+    }
+    remove_all(&files);
 }
 
 /// The size contract of the compact encodings: i16 fixed-point plus the

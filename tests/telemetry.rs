@@ -8,8 +8,8 @@ use std::io::Cursor;
 
 use dpl_obs::{names, Collector, JsonLines, Obs, RunReport, TraceEventJson};
 use dpl_store::{
-    dpa_attack_salvage, dpa_attack_streaming, ArchiveMeta, ArchiveReader, ArchiveWriter, ModelTag,
-    ReadPolicy, RetryPolicy,
+    cpa_attack_salvage, dpa_attack_salvage, dpa_attack_streaming, ArchiveMeta, ArchiveReader,
+    ArchiveWriter, ModelTag, ReadPolicy, RetryPolicy,
 };
 
 const TRACES: usize = 600;
@@ -19,6 +19,11 @@ const CHUNKS: usize = TRACES.div_ceil(CHUNK);
 /// The classic S-box selection bit.
 fn selection(input: u64, guess: u64) -> bool {
     dpl_crypto::present_sbox((input ^ guess) as u8).count_ones() >= 2
+}
+
+/// The Hamming-weight CPA model of the same S-box output.
+fn model(input: u64, guess: u64) -> f64 {
+    dpl_crypto::present_sbox((input ^ guess) as u8).count_ones() as f64
 }
 
 /// Builds a deterministic in-memory archive — optionally instrumented —
@@ -124,6 +129,39 @@ fn one_corrupted_chunk_drops_exactly_one_salvage_chunk() {
         metrics.counter(names::FOLD_TRACES),
         Some(TRACES as u64 - damage.traces_lost())
     );
+}
+
+/// The salvage attacks time every fold step under `fold.update`, like the
+/// strict folds: one `fold.update_ns` sample per intact-chunk update, per
+/// pass (DPA one pass, CPA two).
+#[test]
+fn salvage_attacks_record_one_fold_update_per_intact_chunk() {
+    let mut corrupt = build_archive(None);
+    let target = corrupt.len() / 2;
+    corrupt[target] ^= 0xFF;
+    let retry = RetryPolicy::new(2);
+    for passes in [1u64, 2] {
+        let obs = Obs::deterministic(50);
+        let mut reader =
+            ArchiveReader::with_policy(Cursor::new(corrupt.clone()), ReadPolicy::Salvage)
+                .expect("reader");
+        reader.set_obs(&obs);
+        let (_, damage) = if passes == 1 {
+            dpa_attack_salvage(&mut reader, 16, selection, &retry)
+        } else {
+            cpa_attack_salvage(&mut reader, 16, model, &retry)
+        }
+        .expect("salvage");
+        assert_eq!(damage.damaged.len(), 1);
+        let updates = passes * (CHUNKS - damage.damaged.len()) as u64;
+
+        let metrics = obs.metrics();
+        let timed = metrics
+            .histogram(names::FOLD_UPDATE_NS)
+            .map_or(0, |h| h.count());
+        assert_eq!(timed, updates, "{passes}-pass salvage attack");
+        assert_eq!(metrics.counter(names::FOLD_UPDATES), Some(updates));
+    }
 }
 
 #[test]
