@@ -32,7 +32,7 @@ use std::sync::{Mutex, OnceLock};
 
 use dpl_cells::{characterize_events, CapacitanceModel, DischargeProfile, EventOptions, SablCell};
 use dpl_core::{Dpdn, GateKind};
-use dpl_power::{TraceSet, TraceSink};
+use dpl_power::{fnv1a64, TraceSet, TraceSink};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -230,17 +230,6 @@ impl GateEnergies {
             distinct: per_event.len().min(EVENT_SLOTS),
         }
     }
-}
-
-/// FNV-1a 64-bit hash (local copy; the digest must not depend on higher
-/// layers).
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xCBF2_9CE4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    hash
 }
 
 /// A digest of the capacitance model's parameters, used as part of the

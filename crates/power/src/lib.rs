@@ -15,7 +15,8 @@
 //!   deviation (NSD), the figures of merit used to quantify how constant a
 //!   gate's power consumption is,
 //! * [`dpa_attack`] / [`cpa_attack`] — difference-of-means DPA and
-//!   correlation power analysis used by the end-to-end S-box experiment.
+//!   correlation power analysis used by the end-to-end S-box experiment,
+//! * [`fnv1a64`] — the one checksum/digest every layer above hashes with.
 //!
 //! [`TraceSet`] stores its traces **columnar** (sample-major, one contiguous
 //! buffer) and the attacks are streaming accumulators over those columns;
@@ -81,3 +82,16 @@ impl std::error::Error for PowerError {}
 
 /// Convenience result alias used throughout the crate.
 pub type Result<T> = std::result::Result<T, PowerError>;
+
+/// FNV-1a 64-bit hash: the one checksum and digest of the workspace (archive
+/// chunks and headers, energy-table and certificate digests).  It is
+/// dependency-free and detects any single flipped byte, since every step is
+/// injective modulo 2^64.
+pub fn fnv1a64(bytes: &[u8]) -> u64 {
+    let mut hash: u64 = 0xCBF2_9CE4_8422_2325;
+    for &b in bytes {
+        hash ^= u64::from(b);
+        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
+    }
+    hash
+}

@@ -142,16 +142,9 @@ pub const CHUNK_BODY_LEN_LEN: usize = 4;
 /// Size of a chunk's trailing checksum in bytes.
 pub const CHUNK_CHECKSUM_LEN: usize = 8;
 
-/// FNV-1a 64-bit checksum — dependency-free and guaranteed to detect any
-/// single flipped byte (every step is injective modulo 2^64).
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xCBF2_9CE4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    hash
-}
+/// The chunk and header checksum: FNV-1a 64, re-exported from `dpl-power`
+/// so every layer hashes with one function.
+pub use dpl_power::fnv1a64;
 
 /// The energy model a capture campaign simulated, recorded so a later
 /// attack run can pick the right hypothesis (e.g. a profiled CPA table).
@@ -909,6 +902,13 @@ mod tests {
                 version: CURRENT_VERSION
             })
         ));
+    }
+
+    #[test]
+    fn fnv_matches_the_published_test_vectors() {
+        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a64(b"foobar"), 0x8594_4171_f739_67e8);
     }
 
     #[test]

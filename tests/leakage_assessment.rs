@@ -59,7 +59,7 @@ fn synthetic_tvla_traces(count: usize, samples: usize) -> Vec<(u64, Vec<f64>)> {
         .collect()
 }
 
-/// Acceptance criterion: over an archive spanning >= 4 chunks, the
+/// The TVLA contract: over an archive spanning >= 4 chunks, the
 /// streaming TVLA (both orders) is bit-identical to the in-memory
 /// statistics, and the parallel variant is bit-identical to the sequential
 /// fold independent of the worker count.
@@ -201,16 +201,16 @@ fn tvla_flags_the_leaky_model_and_clears_the_constant_power_model() {
     );
 }
 
-/// Acceptance criterion: the MTD sweep is deterministic in its seed and
-/// reports a strictly lower measurements-to-disclosure for the
-/// Hamming-weight model than for every SABL-protected model.
+/// The MTD contract: the sweep is deterministic in its seed and reports a
+/// strictly lower measurements-to-disclosure for the Hamming-weight model
+/// than for every SABL-protected model.
 #[test]
 fn mtd_reproduces_the_resistance_ordering_deterministically() {
     let grid = [25, 50, 100, 200, 400, 800];
     let repetitions = 4;
     let seed = 7;
 
-    let curves = mtd_curves(seed, &grid, repetitions, MtdAttack::Cpa);
+    let curves = mtd_curves(seed, &grid, repetitions, MtdAttack::Cpa, None);
     assert_eq!(curves.len(), 4);
     let mtd_of = |model: LeakageModel| {
         curves
@@ -238,17 +238,20 @@ fn mtd_reproduces_the_resistance_ordering_deterministically() {
 
     // Bit-for-bit determinism of the whole sweep, and of the rendered
     // report `repro mtd --seed 7` prints.
-    assert_eq!(curves, mtd_curves(seed, &grid, repetitions, MtdAttack::Cpa));
-    let report = mtd_experiment(seed, &grid, repetitions, MtdAttack::Cpa);
+    assert_eq!(
+        curves,
+        mtd_curves(seed, &grid, repetitions, MtdAttack::Cpa, None)
+    );
+    let report = mtd_experiment(seed, &grid, repetitions, MtdAttack::Cpa, None);
     assert_eq!(
         report,
-        mtd_experiment(seed, &grid, repetitions, MtdAttack::Cpa)
+        mtd_experiment(seed, &grid, repetitions, MtdAttack::Cpa, None)
     );
     assert!(report.contains("seed = 7"));
 
     // The DPA engine agrees on the headline: CMOS discloses, constant
     // power does not.
-    let dpa_curves = mtd_curves(seed, &[100, 400], 3, MtdAttack::Dpa);
+    let dpa_curves = mtd_curves(seed, &[100, 400], 3, MtdAttack::Dpa, None);
     let dpa_hw = dpa_curves
         .iter()
         .find(|(m, _)| *m == LeakageModel::HammingWeight)

@@ -27,9 +27,9 @@ fn model(plaintext: u64, guess: u64) -> f64 {
     present_sbox((plaintext ^ guess) as u8).count_ones() as f64
 }
 
-/// The PR's acceptance criterion: out-of-core DPA/CPA over a multi-chunk
-/// archive 8x larger than the reader's in-memory chunk budget return
-/// bit-identical scores to the in-memory attacks on the same traces.
+/// The out-of-core contract: DPA/CPA over a multi-chunk archive 8x larger
+/// than the reader's in-memory chunk budget return bit-identical scores to
+/// the in-memory attacks on the same traces.
 #[test]
 fn out_of_core_attacks_are_bit_identical_on_a_multi_chunk_archive() {
     const CHUNK: usize = 128;

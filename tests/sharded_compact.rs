@@ -19,6 +19,7 @@ use dpl_eval::{
     interleaved_partition, tvla_parallel, tvla_streaming, tvla_streaming_second_order, TvlaOrder,
     TvlaResult,
 };
+use dpl_store::format::fnv1a64;
 use dpl_store::{
     cpa_attack_streaming, dpa_attack_streaming, ArchiveMeta, ArchiveReader, ArchiveWriter,
     CampaignKind, CampaignManifest, ChunkSource, Compression, ModelTag, Quantization,
@@ -576,17 +577,6 @@ fn legacy_v1_v2_layouts_are_byte_stable() {
             }
         }
     }
-}
-
-/// FNV-1a 64 over a byte string — enough to pin a golden layout without
-/// embedding the whole file.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash = 0xCBF2_9CE4_8422_2325u64;
-    for &byte in bytes {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    hash
 }
 
 const GOLDEN_V1_DIGEST: u64 = 10_690_145_621_441_755_873;
