@@ -31,7 +31,6 @@
 //! cargo run -p dpl-bench --release --bin repro -- verify sbox --model fc
 //! ```
 
-use std::collections::BTreeSet;
 use std::env;
 use std::fs::File;
 use std::path::Path;
@@ -47,7 +46,7 @@ use dpl_crypto::{
 };
 use dpl_eval::TvlaOrder;
 use dpl_obs::Obs;
-use dpl_power::{cpa_attack, dpa_attack, AttackResult, TraceSet, TraceSink};
+use dpl_power::{cpa_attack, dpa_attack, AttackResult, InputClasses, TraceSet, TraceSink};
 use dpl_store::{
     cpa_attack_salvage, cpa_attack_streaming, dpa_attack_salvage, dpa_attack_streaming,
     is_manifest_file, repair_archive, ArchiveMeta, ArchiveReader, ArchiveWriter, CampaignManifest,
@@ -719,29 +718,13 @@ fn probe_quantization(job: &CaptureJob, sharded: bool) -> Result<Quantization, S
         .map_err(|e| format!("quantization probe failed: {e}"))
 }
 
-/// Forwards a shard's trace stream to its archive writer while tracking
-/// the shard's distinct inputs (bounded just past the class-aggregation
-/// limit), so the campaign-wide union can be recorded in the manifest
-/// exactly as a single archive of the whole campaign would record it.
-struct DistinctSink<'a, W: SyncWrite> {
-    writer: &'a mut ArchiveWriter<W>,
-    inputs: BTreeSet<u64>,
-}
-
-impl<W: SyncWrite> TraceSink for DistinctSink<'_, W> {
-    type Error = StoreError;
-
-    fn record(&mut self, input: u64, samples: &[f64]) -> Result<(), StoreError> {
-        if self.inputs.len() <= dpl_power::MAX_INPUT_CLASSES {
-            self.inputs.insert(input);
-        }
-        self.writer.append(input, samples)
-    }
-}
+/// What one shard's capture returns: the traces written and the shard's
+/// distinct inputs in order of first appearance (`None` past the
+/// class-aggregation limit).
+type ShardCapture = Result<(u64, Option<Vec<u64>>), String>;
 
 /// Captures one shard of a sharded campaign: global traces
 /// `start..start + count` of the block-seeded stream, written to `path`.
-/// Returns the traces written and the shard's (bounded) distinct-input set.
 fn capture_one_shard(
     path: &Path,
     meta: ArchiveMeta,
@@ -749,17 +732,13 @@ fn capture_one_shard(
     start: u64,
     count: u64,
     obs: Option<&Obs>,
-) -> Result<(u64, BTreeSet<u64>), String> {
+) -> ShardCapture {
     let display = path.display();
     let mut writer =
         ArchiveWriter::create(path, meta).map_err(|e| format!("cannot create {display}: {e}"))?;
     if let Some(obs) = obs {
         writer.set_obs(obs);
     }
-    let mut sink = DistinctSink {
-        writer: &mut writer,
-        inputs: BTreeSet::new(),
-    };
     let outcome = if job.tvla {
         simulate_tvla_trace_range_into(
             &job.netlist,
@@ -769,7 +748,7 @@ fn capture_one_shard(
             start,
             count,
             &job.options,
-            &mut sink,
+            &mut writer,
         )
     } else {
         simulate_trace_range_into(
@@ -779,15 +758,14 @@ fn capture_one_shard(
             start,
             count,
             &job.options,
-            &mut sink,
+            &mut writer,
         )
     };
-    let inputs = std::mem::take(&mut sink.inputs);
     outcome.map_err(|e| format!("capture into {display} failed: {e}"))?;
     let written = writer
         .finish()
         .map_err(|e| format!("finishing {display} failed: {e}"))?;
-    Ok((written, inputs))
+    Ok((written, writer.distinct_inputs().map(<[u64]>::to_vec)))
 }
 
 /// The `--shards n` body of `repro capture`: shard-per-worker parallel
@@ -849,7 +827,7 @@ fn capture_sharded(
         session.start_progress(Some(num_traces as u64), "traces");
     }
     let obs = telemetry.map(|t| t.obs());
-    let results: Vec<Result<(u64, BTreeSet<u64>), String>> = std::thread::scope(|scope| {
+    let results: Vec<ShardCapture> = std::thread::scope(|scope| {
         let handles: Vec<_> = plan
             .iter()
             .map(|shard| {
@@ -863,15 +841,20 @@ fn capture_sharded(
             .map(|h| h.join().expect("shard capture worker panicked"))
             .collect()
     });
-    let mut distinct: BTreeSet<u64> = BTreeSet::new();
+    // The campaign-wide union, recorded exactly as a single archive of the
+    // whole campaign would record it: `None` once past the limit.
+    let mut distinct = Some(InputClasses::new());
     let mut written = 0u64;
     for result in results {
         match result {
             Ok((count, inputs)) => {
                 written += count;
-                if distinct.len() <= dpl_power::MAX_INPUT_CLASSES {
-                    distinct.extend(inputs);
-                }
+                distinct = distinct.zip(inputs).and_then(|(mut union, inputs)| {
+                    inputs
+                        .iter()
+                        .all(|&input| union.intern(input).is_some())
+                        .then_some(union)
+                });
             }
             Err(message) => {
                 eprintln!("{message}");
@@ -879,11 +862,7 @@ fn capture_sharded(
             }
         }
     }
-    let distinct = if distinct.len() > dpl_power::MAX_INPUT_CLASSES {
-        0
-    } else {
-        distinct.len() as u32
-    };
+    let distinct = distinct.map_or(0, |union| union.len() as u32);
     let manifest = match CampaignManifest::new(plan, distinct) {
         Ok(manifest) => manifest,
         Err(e) => {

@@ -23,7 +23,10 @@
 //! most [`MAX_INPUT_CLASSES`] distinct inputs have been seen, per-input-class
 //! sums are maintained and the finalization scores each guess in O(classes)
 //! per sample; once the inputs prove too diverse the class state is dropped
-//! and the per-guess fallback sums take over.  Under the default
+//! and the per-guess fallback sums take over.  Classifying a trace is O(1):
+//! [`InputClasses`] numbers the inputs by first appearance through a hashed
+//! index, so every per-class sum receives the same additions in the same
+//! order as with a linear scan.  Under the default
 //! [`InputProfile::Auto`] both representations are maintained until the
 //! inputs decide, so the mode an accumulator finishes in depends only on the
 //! full input set — exactly like the in-memory attacks, never on the
@@ -33,6 +36,7 @@
 //! double bookkeeping.
 
 use crate::attack::{best_result, AttackResult};
+use crate::classes::{InputClasses, MAX_INPUT_CLASSES};
 use crate::trace::TraceSet;
 use crate::{PowerError, Result};
 
@@ -72,26 +76,21 @@ pub trait Fold {
     fn finalize(self) -> std::result::Result<Self::Output, Self::Error>;
 }
 
-/// When the traces carry at most this many distinct inputs, the attacks
-/// aggregate per-input-class column sums once and score every key guess in
-/// O(classes) per sample instead of O(traces).
-pub const MAX_INPUT_CLASSES: usize = 64;
-
 /// Per-input-class statistics: the distinct input values in order of first
 /// appearance, how many traces carry each, and the per-class column sums.
 #[derive(Debug, Clone, PartialEq)]
 struct ClassState {
-    values: Vec<u64>,
+    inputs: InputClasses,
     counts: Vec<usize>,
-    /// `sums[c][s]` = sum of sample `s` over the traces of class `c`,
-    /// accumulated in trace order.
-    sums: Vec<Vec<f64>>,
+    /// `sums[c * samples + s]` = sum of sample `s` over the traces of
+    /// class `c`, accumulated in trace order.
+    sums: Vec<f64>,
 }
 
 impl ClassState {
     fn new() -> Self {
         ClassState {
-            values: Vec::new(),
+            inputs: InputClasses::new(),
             counts: Vec::new(),
             sums: Vec::new(),
         }
@@ -103,22 +102,21 @@ impl ClassState {
     /// to drop class aggregation for good.
     fn classify(&mut self, inputs: &[u64], samples: usize) -> Option<Vec<u8>> {
         let mut class_of = Vec::with_capacity(inputs.len());
+        let mut complete = true;
         for &input in inputs {
-            let class = match self.values.iter().position(|&v| v == input) {
-                Some(c) => c,
+            match self.inputs.intern(input) {
+                Some(class) => class_of.push(class as u8),
                 None => {
-                    if self.values.len() == MAX_INPUT_CLASSES {
-                        return None;
-                    }
-                    self.values.push(input);
-                    self.counts.push(0);
-                    self.sums.push(vec![0.0; samples]);
-                    self.values.len() - 1
+                    complete = false;
+                    break;
                 }
-            };
-            class_of.push(class as u8);
+            }
         }
-        Some(class_of)
+        // One count and one sum row per class, also for the classes added
+        // before an overflow, so the state stays consistent either way.
+        self.counts.resize(self.inputs.len(), 0);
+        self.sums.resize(self.inputs.len() * samples, 0.0);
+        complete.then_some(class_of)
     }
 
     /// Folds one columnar chunk into the per-class counts and sums.
@@ -139,7 +137,8 @@ impl ClassState {
             let c2 = chunk.sample_column(s + 2);
             let c3 = chunk.sample_column(s + 3);
             for (t, &c) in class_of.iter().enumerate() {
-                let row = &mut self.sums[c as usize][s..s + 4];
+                let at = c as usize * samples + s;
+                let row = &mut self.sums[at..at + 4];
                 row[0] += c0[t];
                 row[1] += c1[t];
                 row[2] += c2[t];
@@ -150,7 +149,7 @@ impl ClassState {
         while s < samples {
             let column = chunk.sample_column(s);
             for (&c, &v) in class_of.iter().zip(column) {
-                self.sums[c as usize][s] += v;
+                self.sums[c as usize * samples + s] += v;
             }
             s += 1;
         }
@@ -159,22 +158,18 @@ impl ClassState {
     /// Merges another class table (covering the trace range *after* this
     /// one) into this one.  Returns `false` when the union exceeds
     /// [`MAX_INPUT_CLASSES`] — the caller must drop class aggregation.
-    fn merge(&mut self, other: &ClassState) -> bool {
-        for (i, &value) in other.values.iter().enumerate() {
-            let class = match self.values.iter().position(|&v| v == value) {
-                Some(c) => c,
-                None => {
-                    if self.values.len() == MAX_INPUT_CLASSES {
-                        return false;
-                    }
-                    self.values.push(value);
-                    self.counts.push(0);
-                    self.sums.push(vec![0.0; other.sums[i].len()]);
-                    self.values.len() - 1
-                }
+    fn merge(&mut self, other: &ClassState, samples: usize) -> bool {
+        for (i, &value) in other.inputs.values().iter().enumerate() {
+            let Some(class) = self.inputs.intern(value) else {
+                return false;
             };
+            if class == self.counts.len() {
+                self.counts.push(0);
+                self.sums.resize(self.sums.len() + samples, 0.0);
+            }
             self.counts[class] += other.counts[i];
-            for (acc, &v) in self.sums[class].iter_mut().zip(&other.sums[i]) {
+            let mine = &mut self.sums[class * samples..(class + 1) * samples];
+            for (acc, &v) in mine.iter_mut().zip(&other.sums[i * samples..]) {
                 *acc += v;
             }
         }
@@ -232,16 +227,12 @@ pub enum InputProfile {
 /// when at most [`MAX_INPUT_CLASSES`] distinct values occur, otherwise
 /// [`InputProfile::Diverse`].
 pub fn input_profile(inputs: &[u64]) -> InputProfile {
-    let mut values: Vec<u64> = Vec::with_capacity(MAX_INPUT_CLASSES);
-    for &input in inputs {
-        if !values.contains(&input) {
-            if values.len() == MAX_INPUT_CLASSES {
-                return InputProfile::Diverse;
-            }
-            values.push(input);
-        }
+    let mut classes = InputClasses::new();
+    if inputs.iter().all(|&input| classes.intern(input).is_some()) {
+        InputProfile::FewClasses
+    } else {
+        InputProfile::Diverse
     }
-    InputProfile::FewClasses
 }
 
 fn class_overflow_error() -> PowerError {
@@ -451,8 +442,9 @@ where
                 message: "traces have inconsistent lengths".into(),
             });
         }
+        let samples = self.samples.unwrap_or(0);
         let keep_classes = match (&mut self.classes, &other.classes) {
-            (Some(mine), Some(theirs)) => mine.merge(theirs),
+            (Some(mine), Some(theirs)) => mine.merge(theirs, samples),
             _ => false,
         };
         if !keep_classes {
@@ -507,9 +499,9 @@ where
         let mut scores = Vec::with_capacity(self.key_guesses as usize);
 
         if let Some(classes) = &self.classes {
-            let mut selected = vec![false; classes.values.len()];
+            let mut selected = vec![false; classes.inputs.len()];
             for guess in 0..self.key_guesses {
-                for (sel, &value) in selected.iter_mut().zip(&classes.values) {
+                for (sel, &value) in selected.iter_mut().zip(classes.inputs.values()) {
                     *sel = (self.selection)(value, guess);
                 }
                 let mut ones = 0usize;
@@ -526,9 +518,9 @@ where
                         let mut sum_zeros = 0.0;
                         for (class, &sel) in selected.iter().enumerate() {
                             if sel {
-                                sum_ones += classes.sums[class][s];
+                                sum_ones += classes.sums[class * samples + s];
                             } else {
-                                sum_zeros += classes.sums[class][s];
+                                sum_zeros += classes.sums[class * samples + s];
                             }
                         }
                         let dom = (sum_ones / ones as f64 - sum_zeros / zeros as f64).abs();
@@ -883,8 +875,9 @@ where
                         message: "traces have inconsistent lengths".into(),
                     });
                 }
+                let samples = self.samples.unwrap_or(0);
                 let keep_classes = match (&mut self.classes, &other.classes) {
-                    (Some(mine), Some(theirs)) => mine.merge(theirs),
+                    (Some(mine), Some(theirs)) => mine.merge(theirs, samples),
                     _ => false,
                 };
                 if !keep_classes {
@@ -984,9 +977,9 @@ where
         let mut scores = Vec::with_capacity(self.key_guesses as usize);
 
         if let Some(classes) = &self.classes {
-            let mut hypothesis = vec![0.0f64; classes.values.len()];
+            let mut hypothesis = vec![0.0f64; classes.inputs.len()];
             for guess in 0..self.key_guesses {
-                for (h, &value) in hypothesis.iter_mut().zip(&classes.values) {
+                for (h, &value) in hypothesis.iter_mut().zip(classes.inputs.values()) {
                     *h = (self.model)(value, guess);
                 }
                 let mut mh = 0.0;
@@ -1004,8 +997,9 @@ where
                     let my = self.col_mean[s];
                     let mut cov = 0.0;
                     for (class, &h) in hypothesis.iter().enumerate() {
-                        cov +=
-                            (h - mh) * (classes.sums[class][s] - classes.counts[class] as f64 * my);
+                        cov += (h - mh)
+                            * (classes.sums[class * samples + s]
+                                - classes.counts[class] as f64 * my);
                     }
                     let corr = if n < 2 || va <= 0.0 || vb <= 0.0 {
                         0.0

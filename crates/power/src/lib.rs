@@ -16,6 +16,8 @@
 //!   gate's power consumption is,
 //! * [`dpa_attack`] / [`cpa_attack`] — difference-of-means DPA and
 //!   correlation power analysis used by the end-to-end S-box experiment,
+//! * [`InputClasses`] — the O(1) first-appearance numbering of distinct
+//!   inputs behind every class-aggregated sum and distinct-input count,
 //! * [`fnv1a64`] — the one checksum/digest every layer above hashes with.
 //!
 //! [`TraceSet`] stores its traces **columnar** (sample-major, one contiguous
@@ -37,14 +39,14 @@
 
 mod accumulate;
 mod attack;
+mod classes;
 pub mod metrics;
 pub mod stats;
 mod trace;
 
-pub use accumulate::{
-    input_profile, CpaAccumulator, DpaAccumulator, Fold, InputProfile, MAX_INPUT_CLASSES,
-};
+pub use accumulate::{input_profile, CpaAccumulator, DpaAccumulator, Fold, InputProfile};
 pub use attack::{best_result, cpa_attack, dpa_attack, reference, AttackResult};
+pub use classes::{InputClasses, MAX_INPUT_CLASSES};
 pub use trace::{Trace, TraceSet, TraceSink};
 
 /// Errors produced by the power-analysis layer.

@@ -295,6 +295,107 @@ mod tests {
         assert_eq!(reader.distinct_inputs(), None);
     }
 
+    /// Overwrites a finished header's field at `at` and re-seals the
+    /// header checksum, as a forger would.
+    fn forge_header(bytes: &mut [u8], at: usize, field: &[u8]) {
+        let payload_end = match bytes[7] {
+            b'1' => 48,
+            b'2' => 56,
+            _ => 72,
+        };
+        bytes[at..at + field.len()].copy_from_slice(field);
+        let checksum = dpl_power::fnv1a64(&bytes[..payload_end]);
+        bytes[payload_end..payload_end + 8].copy_from_slice(&checksum.to_le_bytes());
+    }
+
+    #[test]
+    fn distinct_count_is_exact_up_to_the_limit_and_zero_past_it() {
+        let meta = ArchiveMeta::scalar(16, ModelTag::Unspecified, 0);
+        for distinct in [16u64, 64, 65] {
+            let mut writer = ArchiveWriter::new(Cursor::new(Vec::new()), meta).unwrap();
+            for t in 0..200u64 {
+                writer.append(t % distinct, &[t as f64]).unwrap();
+            }
+            let expected: Vec<u64> = (0..distinct).collect();
+            let few = distinct as usize <= dpl_power::MAX_INPUT_CLASSES;
+            assert_eq!(writer.distinct_inputs(), few.then_some(&expected[..]));
+            writer.finish().unwrap();
+            let reader = ArchiveReader::new(Cursor::new(writer.into_inner().into_inner())).unwrap();
+            assert_eq!(
+                reader.distinct_inputs(),
+                few.then_some(distinct as usize),
+                "distinct={distinct}"
+            );
+        }
+    }
+
+    #[test]
+    fn resume_across_the_distinct_limit_records_what_one_capture_would() {
+        // 64 distinct inputs before the interruption, the 65th after it.
+        let traces: Vec<(u64, Vec<f64>)> = (0..200u64)
+            .map(|t| (if t < 150 { t % 64 } else { t % 65 }, vec![t as f64]))
+            .collect();
+        let meta = ArchiveMeta::scalar(16, ModelTag::Unspecified, 0);
+        let full = write_archive(&traces, meta);
+        for cut in [150, 160] {
+            let mut bytes = write_archive(&traces[..cut], meta);
+            let (mut writer, _) =
+                ArchiveWriter::resume_stream(Cursor::new(&mut bytes), meta).unwrap();
+            assert_eq!(writer.distinct_inputs().map(<[u64]>::len), Some(64));
+            for (input, samples) in &traces[cut..] {
+                writer.append(*input, samples).unwrap();
+            }
+            assert_eq!(writer.distinct_inputs(), None);
+            writer.finish().unwrap();
+            drop(writer);
+            assert_eq!(bytes, full, "cut={cut}");
+        }
+        let reader = ArchiveReader::new(Cursor::new(full)).unwrap();
+        assert_eq!(reader.distinct_inputs(), None);
+    }
+
+    #[test]
+    fn an_under_reported_distinct_count_is_a_typed_fold_error() {
+        // 100 distinct inputs, but a forged header claims 16: the folds
+        // pick class aggregation and must refuse, not panic or mis-score.
+        let wide = synthetic_traces(100, 1, true);
+        let meta = ArchiveMeta::scalar(32, ModelTag::Unspecified, 0);
+        let mut bytes = write_archive(&wide, meta);
+        forge_header(&mut bytes, 40, &16u32.to_le_bytes());
+        let mut reader = ArchiveReader::new(Cursor::new(bytes)).unwrap();
+        assert_eq!(reader.distinct_inputs(), Some(16));
+        let misuse = |e| {
+            matches!(
+                e,
+                StoreError::Power(dpl_power::PowerError::AccumulatorMisuse { .. })
+            )
+        };
+        assert!(dpa_attack_streaming(&mut reader, 16, |i, g| (i ^ g) & 1 == 0).is_err_and(misuse));
+        assert!(
+            cpa_attack_streaming(&mut reader, 16, |i, g| ((i ^ g) & 3) as f64).is_err_and(misuse)
+        );
+    }
+
+    #[test]
+    fn a_forged_v3_trace_count_is_a_typed_error_not_an_abort() {
+        // One valid 1-trace v3 archive whose header is re-sealed with a
+        // count of 2^55 traces: the open-time chunk walk must not trust the
+        // count for its allocation.
+        let meta =
+            ArchiveMeta::scalar(1, ModelTag::Unspecified, 0).with_compression(Compression::Shuffle);
+        let mut bytes = write_archive(&[(3, vec![1.5])], meta);
+        assert_eq!(bytes.len(), 119);
+        forge_header(&mut bytes, 32, &(1u64 << 55).to_le_bytes());
+        assert!(matches!(
+            ArchiveReader::new(Cursor::new(bytes.clone())),
+            Err(StoreError::FormatViolation { .. } | StoreError::Truncated { .. })
+        ));
+        match ArchiveReader::with_policy(Cursor::new(bytes), ReadPolicy::Salvage) {
+            Ok(reader) => assert_eq!(reader.trace_count(), 1 << 55),
+            Err(e) => assert!(!e.to_string().is_empty()),
+        }
+    }
+
     #[test]
     fn chunk_budget_is_enforced() {
         let traces = synthetic_traces(64, 1, false);

@@ -163,8 +163,14 @@ impl<R: Read + Seek> ArchiveReader<R> {
     /// stops at the first invalid head and later chunks surface as damage.
     fn scan_offsets(&mut self) -> Result<()> {
         let chunks = self.chunk_count();
-        let mut offsets = Vec::with_capacity(chunks);
         let mut at = self.meta.header_len() as u64;
+        // The header's chunk count is untrusted: preallocate no more entries
+        // than the file can hold, each chunk taking at least an empty body's
+        // framing.
+        let file_len = self.stream.seek(SeekFrom::End(0))?;
+        let fit = file_len.saturating_sub(at) / chunk_len_v3(0);
+        let mut offsets =
+            Vec::with_capacity(chunks.min(usize::try_from(fit).unwrap_or(usize::MAX)));
         for index in 0..chunks {
             let expected = self.traces_in_chunk(index);
             match self.scan_chunk_head(at, index, expected) {

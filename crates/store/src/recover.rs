@@ -16,7 +16,7 @@ use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom};
 use std::path::Path;
 
-use dpl_power::MAX_INPUT_CLASSES;
+use dpl_power::InputClasses;
 
 use crate::encode::{self, EncodeScratch};
 use crate::error::{Result, StoreError};
@@ -24,7 +24,7 @@ use crate::format::{
     chunk_len, chunk_len_v3, decode_header, fnv1a64, version_of_magic, ArchiveMeta,
     CHUNK_BODY_LEN_LEN, CHUNK_CHECKSUM_LEN, CHUNK_PREFIX_LEN,
 };
-use crate::writer::{ArchiveWriter, SyncWrite, Truncate};
+use crate::writer::{track_distinct, ArchiveWriter, SyncWrite, Truncate};
 
 /// What the recovery scan found where the header belongs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -63,7 +63,7 @@ pub struct Recovery {
     pub(crate) pending_disk_bytes: u64,
     pub(crate) pending_inputs: Vec<u64>,
     pub(crate) pending_samples: Vec<f64>,
-    pub(crate) distinct_inputs: Vec<u64>,
+    pub(crate) distinct_inputs: Option<InputClasses>,
 }
 
 impl Recovery {
@@ -129,7 +129,7 @@ pub(crate) fn scan_stream<R: Read + Seek>(stream: &mut R, meta: ArchiveMeta) -> 
         pending_disk_bytes: 0,
         pending_inputs: Vec::new(),
         pending_samples: Vec::new(),
-        distinct_inputs: Vec::with_capacity(MAX_INPUT_CLASSES + 1),
+        distinct_inputs: Some(InputClasses::new()),
     };
     let mut decode_scratch = Vec::new();
 
@@ -202,11 +202,7 @@ pub(crate) fn scan_stream<R: Read + Seek>(stream: &mut R, meta: ArchiveMeta) -> 
         // Replay the writer's distinct-input bookkeeping so a resumed
         // capture records the same header field as an uninterrupted one.
         for &input in &inputs {
-            if recovery.distinct_inputs.len() <= MAX_INPUT_CLASSES
-                && !recovery.distinct_inputs.contains(&input)
-            {
-                recovery.distinct_inputs.push(input);
-            }
+            track_distinct(&mut recovery.distinct_inputs, input);
         }
 
         if k == chunk_traces {

@@ -5,7 +5,7 @@ use std::io::{BufWriter, Cursor, Seek, SeekFrom, Write};
 use std::path::Path;
 
 use dpl_obs::{names, Obs};
-use dpl_power::{TraceSet, TraceSink, MAX_INPUT_CLASSES};
+use dpl_power::{InputClasses, TraceSet, TraceSink};
 
 use crate::encode::{self, EncodeScratch};
 use crate::error::{Result, StoreError};
@@ -107,10 +107,10 @@ pub struct ArchiveWriter<W: SyncWrite> {
     pub(crate) pending_inputs: Vec<u64>,
     /// Buffered samples of the chunk in progress, trace-major.
     pub(crate) pending_samples: Vec<f64>,
-    /// Distinct input values seen, tracked up to one past the attacks'
-    /// class-aggregation limit and recorded in the header so readers can
-    /// pick the matching accumulator bookkeeping without a scan.
-    pub(crate) distinct_inputs: Vec<u64>,
+    /// Distinct input values seen, `None` once they exceed the attacks'
+    /// class-aggregation limit; their count is recorded in the header so
+    /// readers can pick the matching accumulator bookkeeping without a scan.
+    pub(crate) distinct_inputs: Option<InputClasses>,
     pub(crate) traces_written: u64,
     pub(crate) chunks_written: usize,
     pub(crate) finished: bool,
@@ -152,7 +152,7 @@ impl<W: SyncWrite> ArchiveWriter<W> {
             meta,
             pending_inputs: Vec::with_capacity(meta.chunk_traces),
             pending_samples: Vec::with_capacity(meta.chunk_traces * meta.samples_per_trace),
-            distinct_inputs: Vec::with_capacity(MAX_INPUT_CLASSES + 1),
+            distinct_inputs: Some(InputClasses::new()),
             traces_written: 0,
             chunks_written: 0,
             finished: false,
@@ -191,6 +191,12 @@ impl<W: SyncWrite> ArchiveWriter<W> {
         self.chunks_written
     }
 
+    /// The distinct inputs appended so far in order of first appearance, or
+    /// `None` once there are more than [`dpl_power::MAX_INPUT_CLASSES`].
+    pub fn distinct_inputs(&self) -> Option<&[u64]> {
+        self.distinct_inputs.as_ref().map(InputClasses::values)
+    }
+
     /// Appends one trace.
     ///
     /// # Errors
@@ -212,10 +218,7 @@ impl<W: SyncWrite> ArchiveWriter<W> {
                 ),
             });
         }
-        if self.distinct_inputs.len() <= MAX_INPUT_CLASSES && !self.distinct_inputs.contains(&input)
-        {
-            self.distinct_inputs.push(input);
-        }
+        track_distinct(&mut self.distinct_inputs, input);
         self.pending_inputs.push(input);
         self.pending_samples.extend_from_slice(samples);
         if self.pending_inputs.len() == self.meta.chunk_traces {
@@ -332,11 +335,10 @@ impl<W: SyncWrite> ArchiveWriter<W> {
         if let Some(obs) = &self.obs {
             obs.counter_add(names::STORE_FSYNCS, 1);
         }
-        let distinct = if self.distinct_inputs.len() <= MAX_INPUT_CLASSES {
-            self.distinct_inputs.len() as u32
-        } else {
-            0
-        };
+        let distinct = self
+            .distinct_inputs
+            .as_ref()
+            .map_or(0, |classes| classes.len() as u32);
         let header = encode_header(&self.meta, self.traces_written, distinct);
         self.stream.seek(SeekFrom::Start(0))?;
         self.stream.write_all(&header)?;
@@ -353,6 +355,17 @@ impl<W: SyncWrite> ArchiveWriter<W> {
     /// in-memory archives).
     pub fn into_inner(self) -> W {
         self.stream
+    }
+}
+
+/// Adds `input` to a writer's distinct-input table, dropping the table for
+/// good once a value past the class-aggregation limit arrives.  Shared with
+/// the recovery scan, which replays it over the chunks already on disk.
+pub(crate) fn track_distinct(distinct: &mut Option<InputClasses>, input: u64) {
+    if let Some(classes) = distinct {
+        if classes.intern(input).is_none() {
+            *distinct = None;
+        }
     }
 }
 
